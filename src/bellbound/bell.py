@@ -175,19 +175,22 @@ class TightnessReport:
     bound_gap: float
 
 
+# Coefficients of the 3x4 expression; max_violation recognises it by them.
+_EBI_COEFFS = np.array(
+    [
+        [1.0, 1.0, -1.0, -1.0],
+        [1.0, -1.0, 1.0, -1.0],
+        [1.0, -1.0, -1.0, 1.0],
+    ]
+)
+
+
 def ebi() -> BellExpression:
-    coeffs = np.array(
-        [
-            [1.0, 1.0, -1.0, -1.0],
-            [1.0, -1.0, 1.0, -1.0],
-            [1.0, -1.0, -1.0, 1.0],
-        ]
-    )
     return BellExpression(
         name="ebi",
         alice_settings=3,
         bob_settings=4,
-        coeffs=coeffs,
+        coeffs=_EBI_COEFFS.copy(),
         alice_marginals=np.zeros(3),
         bob_marginals=np.zeros(4),
     )
@@ -487,10 +490,15 @@ def family_domain(family: str) -> tuple[float, float]:
 def max_violation(state: TwoQubitState, expr: BellExpression, seed: int = 7) -> float:
     """Maximal quantum violation of ``expr`` for ``state``.
 
-    Closed form (the tight bound) for the built-in 3x4 expression, see-saw
-    oracle otherwise.
+    Closed form (the tight bound) for the 3x4 expression, recognised by its
+    coefficients and zero marginals whatever its name; see-saw oracle
+    otherwise.
     """
-    if expr.name == "ebi":
+    if (
+        np.array_equal(expr.coeffs, _EBI_COEFFS)
+        and not expr.alice_marginals.any()
+        and not expr.bob_marginals.any()
+    ):
         return tight_bound(state)
     value, _ = seesaw_max_violation(state, expr, restarts=8, seed=seed)
     return abs(value)

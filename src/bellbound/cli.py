@@ -9,8 +9,11 @@ gram-demo (the 4x4 Gram-matrix SDP with its dual certificate).
 
 Numbers print with 6 decimals in human mode and 12 significant digits in
 CSV/JSON.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.  Grid sweeps may run on a bounded thread pool (--threads or
-BELLBOUND_THREADS); rows are always written in grid order.
+failure.  Grid sweeps run one point at a time by default; --threads N or
+BELLBOUND_THREADS=N runs N points at once on a thread pool, which gives
+the same rows, always written in grid order.  Importing the package pins
+OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set (see
+bellbound.linalg).
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ class RunConfig:
     seed: int = 0
     threads: int | None = None
     json_output: bool = False
-    tol: float = 1e-6
 
 
 def _g12(value: float) -> str:
@@ -129,7 +131,7 @@ def _thread_count(cfg: RunConfig) -> int:
     env = os.environ.get("BELLBOUND_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    return 1
 
 
 def cmd_bound(cfg: RunConfig) -> int:
@@ -426,7 +428,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         seed=int(pick("seed", 0)),
         threads=pick("threads", None),
         json_output=bool(getattr(args, "json_output", False) or file_values.get("json", False)),
-        tol=float(pick("tol", 1e-6)),
     )
 
 

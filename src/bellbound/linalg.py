@@ -6,10 +6,18 @@ convention, Kronecker products, and symmetric positive-definite solves.
 All routines are pure functions of plain numpy arrays (complex128 for
 operator algebra, float64 for correlation matrices) and are safe to share
 read-only across threads.
+
+Importing this module pins the OpenBLAS copies bundled with numpy and
+scipy to one thread, unless ``OPENBLAS_NUM_THREADS`` is set: the matrices
+here are at most a few hundred wide, and on them a multithreaded BLAS is
+many times slower than a single thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +29,32 @@ from .errors import NonHermitianInput, NotPositiveDefinite
 EPS_HERM = 1e-12    # max elementwise |M - M^dag| for "Hermitian"
 EPS_RECON = 1e-10   # allowed reconstruction error of decompositions
 EPS_CHOL = 1e-13    # smallest acceptable Cholesky pivot
+
+# (extension module linked against a bundled OpenBLAS, thread setter of
+# that copy).  dlsym on a module's handle also searches the libraries it
+# links, so each setter resolves in its own copy.
+_OPENBLAS_SETTERS = (
+    ("numpy.linalg._umath_linalg", "scipy_openblas_set_num_threads64_"),
+    ("scipy.linalg._fblas", "scipy_openblas_set_num_threads"),
+)
+
+
+def _pin_openblas() -> None:
+    """Set each bundled OpenBLAS to one thread; skip copies not found."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    for module_name, symbol in _OPENBLAS_SETTERS:
+        try:
+            path = importlib.import_module(module_name).__file__
+            setter = getattr(ctypes.CDLL(path), symbol)
+        except (ImportError, OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
+_pin_openblas()
 
 _JACOBI_SWEEP_CAP = 60
 _JACOBI_OFF_TOL = 1e-14
@@ -169,12 +203,6 @@ def cholesky_spd(a: np.ndarray) -> np.ndarray:
     if float(np.min(np.diag(ell)) ** 2) <= EPS_CHOL:
         raise NotPositiveDefinite("Cholesky pivot at or below threshold")
     return ell
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive-definite a via Cholesky."""
-    ell = cholesky_spd(np.asarray(a, dtype=float))
-    return solve_cholesky(ell, np.asarray(b, dtype=float))
 
 
 def solve_cholesky(ell: np.ndarray, b: np.ndarray) -> np.ndarray:

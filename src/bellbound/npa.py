@@ -353,8 +353,36 @@ def _coeff_vectors(ms: MomentStructure, *functionals):
     return out
 
 
-def _guess_problem(ms, bell_coeffs, bell_const, prob_coeffs, prob_const, bell_value,
-                   mode: str):
+@dataclass(frozen=True, eq=False)
+class _GuessSdp:
+    """A guessing-probability SDP with the Bell value left open.
+
+    Only F0 and the constant term depend on the Bell value: at value I they
+    are ``problem.c + t * f0_step`` and ``const_fixed + const_step * t``,
+    with t the value of the eliminated class (mode 'eq') or of the slack
+    corner (mode 'ge').  ``problem`` carries the constraints, validated
+    once, and the identity-class indicator as its objective."""
+
+    problem: SdpProblem
+    mode: str
+    f0_step: np.ndarray
+    const_fixed: float
+    const_step: float
+    bell_const: float
+    g_identity: float
+    g_beta: float  # coefficient of the eliminated class; mode 'eq' only
+
+    def at(self, bell_value: float) -> tuple[SdpProblem, float]:
+        """The problem and its constant term at the given Bell value."""
+        if self.mode == "eq":
+            t = (bell_value - self.bell_const - self.g_identity) / self.g_beta
+        else:
+            t = self.bell_const + self.g_identity - bell_value
+        f0 = self.problem.c + t * self.f0_step
+        return self.problem.with_objective(f0), self.const_fixed + self.const_step * t
+
+
+def _guess_problem(ms, bell_coeffs, bell_const, prob_coeffs, prob_const, mode: str):
     """Reduced formulation of max p s.t. moment structure and Bell value.
 
     The free moment entries are the variables: the normalization <1> = 1
@@ -364,7 +392,8 @@ def _guess_problem(ms, bell_coeffs, bell_const, prob_coeffs, prob_const, bell_va
     body on the dual side keeps the value convergent even when the Bell
     value is pinned at the relaxation's own maximum, where the feasible
     set has no interior.  Mode 'ge' keeps the Bell value as a slack
-    inequality in an extra 1x1 diagonal block instead.
+    inequality in an extra 1x1 diagonal block instead.  Returns a
+    :class:`_GuessSdp`; its ``at`` fills in the Bell value.
     """
     g, h = _coeff_vectors(ms, bell_coeffs, prob_coeffs)
     identity_class = int(ms.entry_class[0, 0])
@@ -388,6 +417,7 @@ def _guess_problem(ms, bell_coeffs, bell_const, prob_coeffs, prob_const, bell_va
             vals.append(corner)
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
+    const_fixed = prob_const + h[identity_class]
     if mode == "eq":
         # Eliminate one Bell-carrying class: y_beta = (target - sum g_c y_c)/g_beta.
         weights = np.abs(g)
@@ -395,10 +425,9 @@ def _guess_problem(ms, bell_coeffs, bell_const, prob_coeffs, prob_const, bell_va
         beta = int(np.argmax(weights))
         if abs(g[beta]) < 1e-12:
             raise ValueError("Bell functional carries no moment dependence")
-        target = bell_value - bell_const - g[identity_class]
-        ratio = target / g[beta]
-        f0 = as_matrix([(identity_class, 1.0), (beta, ratio)])
-        const_term = prob_const + h[identity_class] + h[beta] * ratio
+        f0_step = as_matrix([(beta, 1.0)]).toarray()
+        const_step = h[beta]
+        g_beta = g[beta]
         free = [
             cid
             for cid in range(ms.class_count)
@@ -411,16 +440,47 @@ def _guess_problem(ms, bell_coeffs, bell_const, prob_coeffs, prob_const, bell_va
         ]
     else:
         # Slack block carries Bell(z) - I >= 0.
-        f0 = as_matrix(
-            [(identity_class, 1.0)],
-            corner=bell_const + g[identity_class] - bell_value,
-        )
-        const_term = prob_const + h[identity_class]
+        f0_step = as_matrix([], corner=1.0).toarray()
+        const_step = 0.0
+        g_beta = 0.0
         free = [cid for cid in range(ms.class_count) if cid != identity_class]
         constraints = [
             (-(as_matrix([(cid, 1.0)], corner=g[cid])), h[cid]) for cid in free
         ]
-    return SdpProblem(n=n, c=f0.toarray(), constraints=constraints, sense="min"), const_term
+    return _GuessSdp(
+        problem=SdpProblem(
+            n=n,
+            c=as_matrix([(identity_class, 1.0)]).toarray(),
+            constraints=constraints,
+            sense="min",
+        ),
+        mode=mode,
+        f0_step=f0_step,
+        const_fixed=const_fixed,
+        const_step=const_step,
+        bell_const=bell_const,
+        g_identity=g[identity_class],
+        g_beta=g_beta,
+    )
+
+
+_guess_cache: dict = {}
+
+
+def _cached_guess_problem(expr: BellExpression, level: str, x: int, y: int,
+                          a: int, b: int, mode: str) -> _GuessSdp:
+    """The guessing SDP of p(ab|xy), built once per expression and level."""
+    key = _expr_cache_key(expr, level) + (x, y, a, b, mode)
+    guess = _guess_cache.get(key)
+    if guess is None:
+        ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
+        bell_coeffs, bell_const = _bell_functional(ms, expr)
+        prob_coeffs, prob_const = _prob_functional(ms, x, y, a, b)
+        guess = _guess_problem(
+            ms, bell_coeffs, bell_const, prob_coeffs, prob_const, mode
+        )
+        _guess_cache[key] = guess
+    return guess
 
 
 def _attained_side_value(sol: SdpSolution, what: str) -> float:
@@ -461,17 +521,12 @@ def max_guessing_probability(
             f"|I| = {abs(bell_value):.6f} exceeds the level-{level} bound {qmax:.6f}"
         )
 
-    ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
-    bell_coeffs, bell_const = _bell_functional(ms, expr)
-
     best = 0.0
     for a in range(2):
         for b in range(2):
-            prob_coeffs, prob_const = _prob_functional(ms, x, y, a, b)
-            problem, const_term = _guess_problem(
-                ms, bell_coeffs, bell_const, prob_coeffs, prob_const,
-                bell_value, bell_constraint,
-            )
+            problem, const_term = _cached_guess_problem(
+                expr, level, x, y, a, b, bell_constraint
+            ).at(bell_value)
             value = const_term + _attained_side_value(
                 solve(problem), f"guessing probability p({a}{b}|{x}{y})"
             )

@@ -21,6 +21,7 @@ Bob vectors, and the matching dual feasibility certificate.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -41,42 +42,58 @@ _FEAS_TOL = 1e-8
 _STEP_FRACTION = 0.98
 
 
-def _as_dense_sym(a, n: int) -> np.ndarray:
-    mat = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
-    if mat.shape != (n, n):
-        raise ValueError(f"constraint matrix has shape {mat.shape}, expected {(n, n)}")
-    return mat
+def _checked_objective(c, n: int) -> np.ndarray:
+    c = np.asarray(c, dtype=float)
+    if c.shape != (n, n):
+        raise ValueError("objective matrix shape mismatch")
+    if np.max(np.abs(c - c.T)) > 1e-12:
+        raise ValueError("objective matrix is not symmetric")
+    return c
 
 
 @dataclass(eq=False)
 class SdpProblem:
     """Standard-form problem data.  Constraint matrices may be dense arrays
-    or scipy sparse matrices; all must be symmetric."""
+    or scipy sparse matrices; all must be symmetric.
+
+    The constraints are validated and flattened into one m x n^2 operator
+    when the problem is made; :meth:`with_objective` shares that operator
+    with a copy that differs only in C."""
 
     n: int
     c: np.ndarray
-    constraints: list  # [(A_i, b_i)]
+    constraints: tuple  # ((A_i, b_i), ...)
     sense: str = "min"
+    _amat: sp.csr_matrix = field(init=False, repr=False)
+    _triplets: list = field(init=False, repr=False)
+    _b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        self.c = np.asarray(self.c, dtype=float)
-        if self.c.shape != (self.n, self.n):
-            raise ValueError("objective matrix shape mismatch")
-        if np.max(np.abs(self.c - self.c.T)) > 1e-12:
-            raise ValueError("objective matrix is not symmetric")
+        self.c = _checked_objective(self.c, self.n)
+        self.constraints = tuple(self.constraints)
+        if not self.constraints:
+            raise ValueError("at least one equality constraint is required")
         if len(self.constraints) > self.n * (self.n + 1) // 2:
             raise ValueError("more constraints than independent matrix entries")
-        for a, b in self.constraints:
-            if not np.isfinite(b):
-                raise ValueError("constraint target must be finite")
-            diff = (a - a.T)
-            asym = np.max(np.abs(diff.data)) if sp.issparse(a) and diff.nnz else 0.0
-            if not sp.issparse(a):
-                asym = np.max(np.abs(diff))
-            if asym > 1e-12:
-                raise ValueError("constraint matrix is not symmetric")
+        self._amat, self._triplets, self._b = _flatten_constraints(
+            self.constraints, self.n
+        )
+        if not np.all(np.isfinite(self._b)):
+            raise ValueError("constraint target must be finite")
+        # Row i holds vec(A_i); its transpose permutes columns r*n+c -> c*n+r.
+        cols = np.arange(self.n * self.n)
+        transposed = (cols % self.n) * self.n + cols // self.n
+        asym = (self._amat - self._amat[:, transposed]).data
+        if asym.size and np.max(np.abs(asym)) > 1e-12:
+            raise ValueError("constraint matrix is not symmetric")
+
+    def with_objective(self, c) -> "SdpProblem":
+        """Copy with objective ``c`` that shares the validated constraints."""
+        other = copy.copy(self)
+        other.c = _checked_objective(c, self.n)
+        return other
 
     def to_json(self) -> str:
         return json.dumps(
@@ -84,7 +101,7 @@ class SdpProblem:
                 "n": self.n,
                 "C": self.c.tolist(),
                 "constraints": [
-                    {"A": _as_dense_sym(a, self.n).tolist(), "b": float(b)}
+                    {"A": (a.toarray() if sp.issparse(a) else a).tolist(), "b": float(b)}
                     for a, b in self.constraints
                 ],
                 "sense": self.sense,
@@ -127,6 +144,8 @@ def _flatten_constraints(constraints, n):
     b = np.empty(len(constraints))
     for i, (a, bi) in enumerate(constraints):
         b[i] = bi
+        if a.shape != (n, n):
+            raise ValueError(f"constraint matrix has shape {a.shape}, expected {(n, n)}")
         if sp.issparse(a):
             coo = a.tocoo()
             r, c, v = coo.row, coo.col, coo.data
@@ -194,9 +213,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     maximize = problem.sense == "max"
     c_int = -problem.c if maximize else problem.c
     c_int = 0.5 * (c_int + c_int.T)
-    if not problem.constraints:
-        raise ValueError("at least one equality constraint is required")
-    amat, triplets, b = _flatten_constraints(problem.constraints, n)
+    amat, triplets, b = problem._amat, problem._triplets, problem._b
     m = len(problem.constraints)
 
     norm_c = float(np.linalg.norm(c_int))

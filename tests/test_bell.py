@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -374,6 +376,20 @@ class TestViolationThreshold:
         assert abs(max_violation(state, ebi()) - 2 * ROOT3) < 1e-12
         with pytest.raises(OutOfRange):
             family_state("bogus", 0.1)
+
+
+class TestMaxViolation:
+    def test_closed_form_chosen_by_coefficients(self):
+        state = pure_state(0.3)
+        renamed = replace(ebi(), name="gisin")
+        assert max_violation(state, renamed) == tight_bound(state)
+
+    def test_name_alone_does_not_pick_closed_form(self):
+        state = pure_state(0.3)
+        impostor = replace(chsh(), name="ebi")
+        value, _ = seesaw_max_violation(state, impostor, restarts=8, seed=7)
+        assert max_violation(state, impostor) == abs(value)
+        assert abs(value) < tight_bound(state) - 1.0
 
 
 class TestStrategySerialization:

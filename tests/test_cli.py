@@ -116,9 +116,13 @@ class TestRandomness:
         ]
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
+        pooled = tmp_path / "pooled.csv"
         assert run(capsys, *args, "--out", str(first))[0] == 0
         assert run(capsys, *args, "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+        # Points computed two at a time give the serial default's bytes.
+        assert run(capsys, *args, "--threads", "2", "--out", str(pooled))[0] == 0
+        assert pooled.read_bytes() == first.read_bytes()
 
     def test_entropy_matches_probability_column(self, capsys, tmp_path):
         out_file = tmp_path / "c.csv"

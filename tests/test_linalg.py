@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bellbound
 from bellbound import linalg
 from bellbound.errors import NonHermitianInput, NotPositiveDefinite
 from bellbound.states import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -143,12 +149,18 @@ class TestKron:
 
 
 class TestSolveSpd:
+    """Solving SPD systems with cholesky_spd and solve_cholesky."""
+
+    @staticmethod
+    def solve(a, b):
+        return linalg.solve_cholesky(linalg.cholesky_spd(a), b)
+
     def test_identity(self):
-        assert np.allclose(linalg.solve_spd(np.eye(3), np.array([1.0, 2.0, 3.0])),
+        assert np.allclose(self.solve(np.eye(3), np.array([1.0, 2.0, 3.0])),
                            [1.0, 2.0, 3.0])
 
     def test_diagonal(self):
-        x = linalg.solve_spd(np.diag([4.0, 9.0]), np.array([8.0, 27.0]))
+        x = self.solve(np.diag([4.0, 9.0]), np.array([8.0, 27.0]))
         assert np.allclose(x, [2.0, 3.0])
 
     def test_random_spd_residual(self):
@@ -158,13 +170,61 @@ class TestSolveSpd:
             a = rng.normal(size=(n, n))
             a = a.T @ a + np.eye(n)
             b = rng.normal(size=n)
-            x = linalg.solve_spd(a, b)
+            x = self.solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-9 * (1 + np.linalg.norm(b))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            linalg.solve_spd(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
+            linalg.cholesky_spd(np.diag([1.0, -1.0]))
 
     def test_rejects_tiny_pivot(self):
         with pytest.raises(NotPositiveDefinite):
-            linalg.solve_spd(np.diag([1.0, 1e-14]), np.array([1.0, 1.0]))
+            linalg.cholesky_spd(np.diag([1.0, 1e-14]))
+
+
+# Reads the thread count of each OpenBLAS copy mapped into the process.
+_THREADS_PROBE = """
+import ctypes, json, os
+import bellbound
+getters = {"libscipy_openblas64_": "scipy_openblas_get_num_threads64_",
+           "libscipy_openblas-": "scipy_openblas_get_num_threads"}
+out = {}
+with open("/proc/self/maps") as fh:
+    for line in fh:
+        name = os.path.basename(line.split()[-1])
+        for stem, symbol in getters.items():
+            if stem in name and symbol not in out:
+                getter = getattr(ctypes.CDLL(line.split()[-1]), symbol)
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                out[symbol] = getter()
+print(json.dumps(out))
+"""
+
+
+def _openblas_threads(**env_updates) -> dict:
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(bellbound.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    env.update(env_updates)
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the OpenBLAS copies")
+    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    threads = json.loads(proc.stdout)
+    if len(threads) < 2:
+        pytest.skip(f"found only the OpenBLAS copies {sorted(threads)}")
+    return threads
+
+
+class TestOpenblasPin:
+    def test_import_pins_both_copies(self):
+        threads = _openblas_threads()
+        assert threads == {"scipy_openblas_get_num_threads64_": 1,
+                           "scipy_openblas_get_num_threads": 1}
+
+    def test_user_setting_is_left_alone(self):
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("one core: OpenBLAS caps its threads at 1 anyway")
+        threads = _openblas_threads(OPENBLAS_NUM_THREADS="2")
+        assert set(threads.values()) == {2}

@@ -9,12 +9,15 @@ from bellbound import (
     build_moment_structure,
     chained,
     chsh,
+    classical_bound,
     ebi,
     entropy_crossover,
     max_guessing_probability,
     min_entropy_curve,
+    solve,
     tsirelson_bound,
 )
+from bellbound import npa
 from bellbound.errors import InfeasibleValue, OutOfRange, UnsupportedLevel
 from bellbound.npa import curve_csv, structure_constraints
 
@@ -156,6 +159,37 @@ class TestGuessingProbability:
             for y in range(2)
         ]
         assert max(values) - min(values) <= 1e-4
+
+
+class TestGuessProblemReuse:
+    @pytest.mark.parametrize("mode", ["eq", "ge"])
+    @pytest.mark.parametrize("level", ["1+AB", "2"])
+    @pytest.mark.parametrize("expr", [ebi(), chsh()], ids=["ebi", "chsh"])
+    def test_reused_problem_matches_fresh_build(self, expr, level, mode):
+        ms = build_moment_structure(
+            Scenario(expr.alice_settings, expr.bob_settings), level
+        )
+        bell_coeffs, bell_const = npa._bell_functional(ms, expr)
+        cb, qmax = classical_bound(expr), tsirelson_bound(expr, level)
+        values = [cb + f * (qmax - cb) for f in (0.3, 0.6, 0.9)]
+        for value in values + values[-2::-1]:  # up, then back down
+            best = 0.0
+            for a in range(2):
+                for b in range(2):
+                    reused = npa._cached_guess_problem(expr, level, 0, 0, a, b, mode)
+                    problem, const = reused.at(value)
+                    prob_coeffs, prob_const = npa._prob_functional(ms, 0, 0, a, b)
+                    fresh, fresh_const = npa._guess_problem(
+                        ms, bell_coeffs, bell_const, prob_coeffs, prob_const, mode
+                    ).at(value)
+                    assert problem._amat is reused.problem._amat
+                    assert np.array_equal(problem.c, fresh.c)
+                    assert const == fresh_const
+                    best = max(best, fresh_const + solve(fresh).dual_obj)
+            reused_value = max_guessing_probability(
+                expr, value, (0, 0), level, bell_constraint=mode
+            )
+            assert abs(reused_value - min(1.0, max(0.25, best))) <= 1e-12
 
 
 class TestRandomnessPoint:

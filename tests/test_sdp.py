@@ -50,6 +50,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             SdpProblem(n=1, c=np.eye(1), constraints=[(np.eye(1), 1.0)], sense="up")
 
+    def test_with_objective_shares_constraints(self):
+        problem = gram_problem()
+        other = problem.with_objective(np.eye(4))
+        assert other._amat is problem._amat and other.constraints is problem.constraints
+        assert np.array_equal(other.c, np.eye(4))
+        assert abs(solve(other).primal_obj - 4.0) < 1e-7
+        with pytest.raises(ValueError):
+            problem.with_objective(np.triu(np.ones((4, 4))))
+
 
 class TestBasicSolves:
     def test_scalar_equality(self):
