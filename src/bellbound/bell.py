@@ -25,7 +25,7 @@ strategies can exist, which the see-saw oracle below will find.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     OutOfRange,
     TooManySettings,
 )
-from .linalg import kron, svd3
+from .linalg import svd3
 from .states import (
     ID2,
     PAULI,
@@ -67,8 +67,7 @@ class BellExpression:
     """A bipartite correlator expression sum_kl c_kl <A_k B_l>.
 
     ``marginal`` coefficients are carried for generality; they are zero for
-    all three built-ins.  ``classical_bound`` is an optional cached value,
-    see :func:`classical_bound`.
+    all three built-ins.
     """
 
     name: str
@@ -77,7 +76,6 @@ class BellExpression:
     coeffs: np.ndarray            # (k, l)
     alice_marginals: np.ndarray   # (k,)
     bob_marginals: np.ndarray     # (l,)
-    classical_bound: float | None = None
 
     def __post_init__(self):
         if self.coeffs.shape != (self.alice_settings, self.bob_settings):
@@ -89,9 +87,6 @@ class BellExpression:
             raise DimensionMismatch("alice marginal length mismatch")
         if self.bob_marginals.shape != (self.bob_settings,):
             raise DimensionMismatch("bob marginal length mismatch")
-
-    def with_classical_bound(self) -> "BellExpression":
-        return replace(self, classical_bound=classical_bound(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,16 +147,6 @@ class Behavior:
         """<A_x B_y> table: p00 - p01 - p10 + p11."""
         p = self.table
         return p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1]
-
-    def to_csv(self) -> str:
-        lines = ["x,y,a,b,p"]
-        k, l, _, _ = self.table.shape
-        for x in range(k):
-            for y in range(l):
-                for a in range(2):
-                    for b in range(2):
-                        lines.append(f"{x},{y},{a},{b},{self.table[x, y, a, b]:.12g}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -264,13 +249,15 @@ def bell_operator(expr: BellExpression, strategy: MeasurementStrategy) -> np.nda
     for k in range(expr.alice_settings):
         for l in range(expr.bob_settings):
             if expr.coeffs[k, l] != 0.0:
-                op += expr.coeffs[k, l] * kron(obs(strategy.alice[k]), obs(strategy.bob[l]))
+                op += expr.coeffs[k, l] * np.kron(
+                    obs(strategy.alice[k]), obs(strategy.bob[l])
+                )
     for k in range(expr.alice_settings):
         if expr.alice_marginals[k] != 0.0:
-            op += expr.alice_marginals[k] * kron(obs(strategy.alice[k]), ID2)
+            op += expr.alice_marginals[k] * np.kron(obs(strategy.alice[k]), ID2)
     for l in range(expr.bob_settings):
         if expr.bob_marginals[l] != 0.0:
-            op += expr.bob_marginals[l] * kron(ID2, obs(strategy.bob[l]))
+            op += expr.bob_marginals[l] * np.kron(ID2, obs(strategy.bob[l]))
     return op
 
 
@@ -416,7 +403,7 @@ def behavior_from(state: TwoQubitState, strategy: MeasurementStrategy) -> Behavi
             for a in range(2):
                 for b in range(2):
                     table[x, y, a, b] = float(
-                        np.real(np.trace(rho @ kron(pa[a], pb[b])))
+                        np.real(np.trace(rho @ np.kron(pa[a], pb[b])))
                     )
     table = np.clip(table, 0.0, None)
     table /= table.sum(axis=(2, 3), keepdims=True)

@@ -1,7 +1,7 @@
 """
 Dense linear-algebra kernels used by every other module: Hermitian
-eigendecomposition, a small hand-rolled 3x3 SVD with a deterministic sign
-convention, Kronecker products, and symmetric positive-definite solves.
+eigendecomposition, a 3x3 SVD (LAPACK) with a deterministic sign
+convention, and symmetric positive-definite solves.
 
 All routines are pure functions of plain numpy arrays (complex128 for
 operator algebra, float64 for correlation matrices) and are safe to share
@@ -27,7 +27,6 @@ from .errors import NonHermitianInput, NotPositiveDefinite
 
 # Central tolerance record.
 EPS_HERM = 1e-12    # max elementwise |M - M^dag| for "Hermitian"
-EPS_RECON = 1e-10   # allowed reconstruction error of decompositions
 EPS_CHOL = 1e-13    # smallest acceptable Cholesky pivot
 
 # (extension module linked against a bundled OpenBLAS, thread setter of
@@ -55,9 +54,6 @@ def _pin_openblas() -> None:
 
 
 _pin_openblas()
-
-_JACOBI_SWEEP_CAP = 60
-_JACOBI_OFF_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -106,88 +102,22 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svd3(t: np.ndarray) -> SvdResult3:
-    """Singular value decomposition of a real 3x3 matrix.
+    """Singular value decomposition of a real 3x3 matrix (LAPACK).
 
-    One-sided Jacobi: columns of a working copy of ``t`` are rotated until
-    mutually orthogonal (equivalently, t.T @ t is diagonalized).  Cyclic
-    sweeps stop once every off-diagonal Gram entry is below tolerance, with
-    a hard sweep cap.  Degenerate and zero matrices still yield valid
-    decompositions; left vectors for vanishing singular values are filled
-    with an orthonormal completion.
+    Degenerate and zero matrices still yield orthonormal bases; the sign
+    convention of :class:`SvdResult3` fixes the remaining freedom.
     """
     t = np.array(t, dtype=float)
     if t.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("matrix entries must be finite")
-
-    a = t.copy()
-    v = np.eye(3)
-    scale = max(1.0, float(np.sum(a * a)))
-    for _ in range(_JACOBI_SWEEP_CAP):
-        off = 0.0
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            cp = a[:, p]
-            cq = a[:, q]
-            gamma = float(cp @ cq)
-            off = max(off, abs(gamma))
-            if abs(gamma) <= _JACOBI_OFF_TOL * scale:
-                continue
-            alpha = float(cp @ cp)
-            beta = float(cq @ cq)
-            zeta = (beta - alpha) / (2.0 * gamma)
-            tan = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-            if zeta == 0.0:
-                tan = 1.0
-            cos = 1.0 / np.hypot(1.0, tan)
-            sin = cos * tan
-            rot = np.array([[cos, sin], [-sin, cos]])
-            a[:, [p, q]] = a[:, [p, q]] @ rot
-            v[:, [p, q]] = v[:, [p, q]] @ rot
-        if off <= _JACOBI_OFF_TOL * scale:
-            break
-
-    sigma = np.linalg.norm(a, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    a = a[:, order]
-    v = v[:, order]
-
-    u = np.zeros((3, 3))
-    for j in range(3):
-        if sigma[j] > 1e-300:
-            u[:, j] = a[:, j] / sigma[j]
-    _complete_orthonormal(u, sigma)
-
+    u, sigma, vt = np.linalg.svd(t)
+    v = vt.T
     # Sign convention: first nonzero component of each right vector >= 0.
-    for j in range(3):
-        nz = np.nonzero(np.abs(v[:, j]) > 1e-12)[0]
-        if nz.size and v[nz[0], j] < 0.0:
-            v[:, j] = -v[:, j]
-            u[:, j] = -u[:, j]
-    return SvdResult3(singular_values=sigma, left_vectors=u, right_vectors=v)
-
-
-def _complete_orthonormal(u: np.ndarray, sigma: np.ndarray) -> None:
-    """Fill columns of u belonging to (near-)zero singular values."""
-    for j in range(3):
-        if sigma[j] > 1e-14 and np.linalg.norm(u[:, j]) > 0.5:
-            continue
-        # Deterministic Gram-Schmidt against the columns already in place.
-        for cand in np.eye(3):
-            w = cand.copy()
-            for k in range(3):
-                if k != j and np.linalg.norm(u[:, k]) > 0.5:
-                    w -= (u[:, k] @ w) * u[:, k]
-            norm = np.linalg.norm(w)
-            if norm > 1e-6:
-                u[:, j] = w / norm
-                break
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; entry (i*p+k, j*q+l) equals a[i,j]*b[k,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    first = np.argmax(np.abs(v) > 1e-12, axis=0)
+    signs = np.where(v[first, np.arange(3)] < 0.0, -1.0, 1.0)
+    return SvdResult3(singular_values=sigma, left_vectors=u * signs, right_vectors=v * signs)
 
 
 def cholesky_spd(a: np.ndarray) -> np.ndarray:

@@ -10,6 +10,11 @@ this spectrahedron upper-bounds the quantum value; maximizing an outcome
 probability p(ab|xy) at a fixed Bell value lower-bounds the certifiable
 randomness -log2 p*.
 
+Both problems use one reduced formulation: the moments of the entry
+classes are the variables, M(z) = z[entry_class], and every constraint
+matrix is a sparse combination of columns of one class-indicator operator
+per moment structure (see :func:`_reduced_sdp`).
+
 Observables are encoded as A = 2 P - I, so correlators expand as
 <A_x B_y> = 4 <P_x Q_y> - 2 <P_x> - 2 <Q_y> + 1, and outcome
 probabilities as p(00|xy) = <P_x Q_y>, p(01|xy) = <P_x> - <P_x Q_y>, etc.
@@ -59,9 +64,6 @@ class Monomial:
     alice: tuple[int, ...]
     bob: tuple[int, ...]
 
-    def __len__(self):
-        return len(self.alice) + len(self.bob)
-
 
 def _collapse(word: tuple[int, ...]) -> tuple[int, ...]:
     out: list[int] = []
@@ -88,8 +90,8 @@ class MomentStructure:
     monomials: tuple[Monomial, ...]
     size: int
     entry_class: np.ndarray        # (size, size) class index per entry
-    class_members: tuple[tuple[tuple[int, int], ...], ...]  # upper-triangle
     class_count: int
+    class_indicator: sp.csc_matrix  # (size**2, class_count) 0/1, column c = class c
     _key_to_class: dict
 
     def moment_class(self, alice: tuple[int, ...], bob: tuple[int, ...]) -> int:
@@ -137,7 +139,6 @@ def _structure_cached(k: int, l: int, level: str) -> MomentStructure:
     size = len(monomials)
     entry_class = np.zeros((size, size), dtype=np.int64)
     key_to_class: dict = {}
-    members: list[list[tuple[int, int]]] = []
     for i in range(size):
         for j in range(i, size):
             wi, wj = monomials[i], monomials[j]
@@ -148,17 +149,19 @@ def _structure_cached(k: int, l: int, level: str) -> MomentStructure:
             if cid is None:
                 cid = len(key_to_class)
                 key_to_class[key] = cid
-                members.append([])
             entry_class[i, j] = entry_class[j, i] = cid
-            members[cid].append((i, j))
+    class_count = len(key_to_class)
     return MomentStructure(
         scenario=scenario,
         level=level,
         monomials=tuple(monomials),
         size=size,
         entry_class=entry_class,
-        class_members=tuple(tuple(ms) for ms in members),
-        class_count=len(key_to_class),
+        class_count=class_count,
+        class_indicator=sp.csc_matrix(
+            (np.ones(size * size), (np.arange(size * size), entry_class.ravel())),
+            shape=(size * size, class_count),
+        ),
         _key_to_class=key_to_class,
     )
 
@@ -169,113 +172,46 @@ def build_moment_structure(scenario: Scenario, level) -> MomentStructure:
     )
 
 
-def _entry_coo(i: int, j: int, weight: float):
-    """COO triplets placing ``weight`` symmetrically on entry (i, j)."""
-    if i == j:
-        return [i], [j], [weight]
-    return [i, j], [j, i], [0.5 * weight, 0.5 * weight]
-
-
-@lru_cache(maxsize=None)
-def _structure_constraints_cached(k: int, l: int, level: str):
-    ms = _structure_cached(k, l, level)
-    n = ms.size
-    constraints = []
-    pin = sp.coo_matrix(([1.0], ([0], [0])), shape=(n, n)).tocsr()
-    constraints.append((pin, 1.0))
-    for members in ms.class_members:
-        rep = members[0]
-        for other in members[1:]:
-            rows, cols, vals = _entry_coo(*rep, 1.0)
-            r2, c2, v2 = _entry_coo(*other, -1.0)
-            a = sp.coo_matrix(
-                (vals + v2, (rows + r2, cols + c2)), shape=(n, n)
-            ).tocsr()
-            constraints.append((a, 0.0))
-    return tuple(constraints)
-
-
-def structure_constraints(ms: MomentStructure):
-    """Equality constraints pinning <1> = 1 and tying equivalent entries."""
-    return list(
-        _structure_constraints_cached(
-            ms.scenario.alice_settings, ms.scenario.bob_settings, ms.level
-        )
-    )
-
-
-def _accumulate(target: dict, cid: int, weight: float) -> None:
-    target[cid] = target.get(cid, 0.0) + weight
-
-
 def _bell_functional(ms: MomentStructure, expr: BellExpression):
-    """Class coefficients and constant so that sum + const = Bell value."""
-    coeffs: dict[int, float] = {}
+    """Class vector g and constant with g . y + const = Bell value."""
+    g = np.zeros(ms.class_count)
     const = 0.0
     for x in range(expr.alice_settings):
         for y in range(expr.bob_settings):
             c = float(expr.coeffs[x, y])
             if c == 0.0:
                 continue
-            _accumulate(coeffs, ms.moment_class((x,), (y,)), 4.0 * c)
-            _accumulate(coeffs, ms.moment_class((x,), ()), -2.0 * c)
-            _accumulate(coeffs, ms.moment_class((), (y,)), -2.0 * c)
+            g[ms.moment_class((x,), (y,))] += 4.0 * c
+            g[ms.moment_class((x,), ())] += -2.0 * c
+            g[ms.moment_class((), (y,))] += -2.0 * c
             const += c
     for x in range(expr.alice_settings):
         c = float(expr.alice_marginals[x])
         if c != 0.0:
-            _accumulate(coeffs, ms.moment_class((x,), ()), 2.0 * c)
+            g[ms.moment_class((x,), ())] += 2.0 * c
             const -= c
     for y in range(expr.bob_settings):
         c = float(expr.bob_marginals[y])
         if c != 0.0:
-            _accumulate(coeffs, ms.moment_class((), (y,)), 2.0 * c)
+            g[ms.moment_class((), (y,))] += 2.0 * c
             const -= c
-    return coeffs, const
+    return g, const
 
 
 def _prob_functional(ms: MomentStructure, x: int, y: int, a: int, b: int):
-    """p(ab|xy) as class coefficients plus constant."""
-    pa = ms.moment_class((x,), ())
-    pb = ms.moment_class((), (y,))
-    pab = ms.moment_class((x,), (y,))
-    coeffs: dict[int, float] = {}
-    const = 0.0
-    if (a, b) == (0, 0):
-        _accumulate(coeffs, pab, 1.0)
-    elif (a, b) == (0, 1):
-        _accumulate(coeffs, pa, 1.0)
-        _accumulate(coeffs, pab, -1.0)
-    elif (a, b) == (1, 0):
-        _accumulate(coeffs, pb, 1.0)
-        _accumulate(coeffs, pab, -1.0)
-    else:
-        const = 1.0
-        _accumulate(coeffs, pa, -1.0)
-        _accumulate(coeffs, pb, -1.0)
-        _accumulate(coeffs, pab, 1.0)
-    return coeffs, const
+    """p(ab|xy) as class vector plus constant.
 
-
-def _representatives(ms: MomentStructure):
-    return [members[0] for members in ms.class_members]
-
-
-def _functional_matrix(ms: MomentStructure, coeffs: dict, const: float) -> np.ndarray:
-    """Dense symmetric C with tr(C M) = sum_c f_c m_c + const on feasible M."""
-    c = np.zeros((ms.size, ms.size))
-    reps = _representatives(ms)
-    for cid, weight in coeffs.items():
-        i, j = reps[cid]
-        rows, cols, vals = _entry_coo(i, j, weight)
-        for r, cc, v in zip(rows, cols, vals):
-            c[r, cc] += v
-    c[0, 0] += const  # M[0, 0] is pinned to 1
-    return c
+    With s = 1 - 2 * outcome, p(ab|xy) = <(a + s_a P_x)(b + s_b Q_y)>."""
+    s_a, s_b = 1 - 2 * a, 1 - 2 * b
+    h = np.zeros(ms.class_count)
+    h[ms.moment_class((x,), (y,))] = s_a * s_b
+    h[ms.moment_class((x,), ())] = b * s_a
+    h[ms.moment_class((), (y,))] = a * s_b
+    return h, float(a * b)
 
 
 def _certified_upper_value(sol: SdpSolution, what: str) -> float:
-    """Upper-bound side of a maximization: the dual objective."""
+    """Upper-bound side of a reduced-form maximization: the primal objective."""
     rel_gap = abs(sol.gap) / (1.0 + abs(sol.primal_obj) + abs(sol.dual_obj))
     if sol.status == OPTIMAL or (
         sol.status == MAX_ITERATIONS
@@ -283,7 +219,7 @@ def _certified_upper_value(sol: SdpSolution, what: str) -> float:
         and sol.primal_residual <= _ACCEPT_RES
         and sol.dual_residual <= _ACCEPT_RES
     ):
-        return sol.dual_obj
+        return sol.primal_obj
     raise SolverError(
         f"{what}: solver ended with status {sol.status} "
         f"(gap {sol.gap:.2e}, residuals {sol.primal_residual:.2e}/"
@@ -302,6 +238,114 @@ def _expr_cache_key(expr: BellExpression, level: str):
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _ReducedSdp:
+    """A moment SDP in reduced form; see :func:`_reduced_sdp`.
+
+    Its value is ``const`` plus the optimum of ``problem``.  With a Bell
+    constraint (``mode`` 'eq' or 'ge') only F0 and the constant term depend
+    on the Bell value: at value I they are ``problem.c + t * f0_step`` and
+    ``const + const_step * t``, with t the value of the eliminated class
+    (mode 'eq') or of the slack corner (mode 'ge'); :meth:`at` fills them
+    in.  ``problem`` carries the constraints, validated once, and the
+    identity-class indicator as its objective."""
+
+    problem: SdpProblem
+    const: float
+    mode: str | None = None
+    f0_step: np.ndarray | None = None
+    const_step: float = 0.0
+    bell_const: float = 0.0
+    g_identity: float = 0.0
+    g_beta: float = 0.0  # coefficient of the eliminated class; mode 'eq' only
+
+    def at(self, bell_value: float) -> tuple[SdpProblem, float]:
+        """The problem and its constant term at the given Bell value."""
+        if self.mode == "eq":
+            t = (bell_value - self.bell_const - self.g_identity) / self.g_beta
+        else:
+            t = self.bell_const + self.g_identity - bell_value
+        f0 = self.problem.c + t * self.f0_step
+        return self.problem.with_objective(f0), self.const + self.const_step * t
+
+
+def _reduced_sdp(ms: MomentStructure, objective, bell=None, mode: str = "eq"):
+    """Reduced formulation of max objective(y) over the moments y of ``ms``.
+
+    ``objective`` and ``bell`` are (class vector, constant) pairs.  The
+    free moments z are the variables: the normalization <1> = 1 and, with
+    ``bell`` in mode 'eq', the Bell equality are eliminated by
+    substitution, leaving  max w.z  s.t.  F0 + sum_i z_i F_i >= 0.  It is
+    handed to the solver as the dual of  min tr(F0 X)  s.t.
+    tr(-F_i X) = w_i,  so the solver's primal side bounds the maximum from
+    above and its dual side is attained by a moment matrix.  Putting the
+    compact moment body on the dual side keeps the value convergent even
+    when the Bell value is pinned at the relaxation's own maximum, where
+    the feasible set has no interior.  Mode 'ge' keeps the Bell value as a
+    slack inequality in an extra 1x1 diagonal block instead.
+
+    Every F_i is a combination of columns of ``ms.class_indicator``, so
+    with every class free M(z) = F0 + sum_i z_i F_i is z[entry_class].
+    Returns a :class:`_ReducedSdp`.
+    """
+    h, h_const = objective
+    n = ms.size
+    identity = int(ms.entry_class[0, 0])
+    cols = ms.class_indicator
+    free = np.flatnonzero(np.arange(ms.class_count) != identity)
+    extra = {}
+    if bell is None:
+        f, w = cols[:, free], h[free]
+    else:
+        g, bell_const = bell
+        extra = dict(mode=mode, bell_const=bell_const, g_identity=g[identity])
+        if mode == "eq":
+            # Eliminate one Bell-carrying class: y_beta = (target - sum g_c y_c)/g_beta.
+            weights = np.abs(g)
+            weights[identity] = 0.0
+            beta = int(np.argmax(weights))
+            if abs(g[beta]) < 1e-12:
+                raise ValueError("Bell functional carries no moment dependence")
+            free = free[free != beta]
+            f = cols[:, free] - cols[:, [beta]] @ sp.csr_matrix(g[free] / g[beta])
+            w = h[free] - h[beta] * g[free] / g[beta]
+            extra.update(
+                f0_step=cols[:, beta].toarray().reshape(n, n),
+                const_step=h[beta],
+                g_beta=g[beta],
+            )
+        else:
+            # Slack block carries Bell(z) - I >= 0: entry r of the n x n
+            # moment matrix moves to r + r // n in the (n+1) x (n+1) one.
+            n += 1
+            cols = sp.csc_matrix(
+                (cols.data, cols.indices + cols.indices // ms.size, cols.indptr),
+                shape=(n * n, ms.class_count),
+            )
+            corner = sp.csc_matrix(
+                (g[free], (np.full(free.size, n * n - 1), np.arange(free.size))),
+                shape=(n * n, free.size),
+            )
+            f, w = cols[:, free] + corner, h[free]
+            f0_step = np.zeros((n, n))
+            f0_step[-1, -1] = 1.0
+            extra.update(f0_step=f0_step)
+    f = f.tocsc()
+    constraints = []
+    for i in range(f.shape[1]):
+        lo, hi = f.indptr[i], f.indptr[i + 1]
+        flat = f.indices[lo:hi]
+        a = sp.csr_matrix((-f.data[lo:hi], (flat // n, flat % n)), shape=(n, n))
+        constraints.append((a, w[i]))
+    problem = SdpProblem(
+        n=n,
+        c=cols[:, identity].toarray().reshape(n, n),
+        constraints=constraints,
+        sense="min",
+    )
+    return _ReducedSdp(problem=problem, const=h_const + h[identity], **extra)
+
+
 _tsirelson_cache: dict = {}
 
 
@@ -312,172 +356,26 @@ def tsirelson_bound(expr: BellExpression, level) -> float:
     if key in _tsirelson_cache:
         return _tsirelson_cache[key]
     ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
-    coeffs, const = _bell_functional(ms, expr)
-    problem = SdpProblem(
-        n=ms.size,
-        c=_functional_matrix(ms, coeffs, const),
-        constraints=structure_constraints(ms),
-        sense="max",
-    )
-    value = _certified_upper_value(
-        solve(problem), f"tsirelson_bound({expr.name}, {level})"
+    sdp = _reduced_sdp(ms, _bell_functional(ms, expr))
+    value = sdp.const + _certified_upper_value(
+        solve(sdp.problem), f"tsirelson_bound({expr.name}, {level})"
     )
     _tsirelson_cache[key] = value
     return value
-
-
-def _class_indicator_coo(ms: MomentStructure, cid: int):
-    """0/1 symmetric indicator of a class: full weight on every entry."""
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, j in ms.class_members[cid]:
-        if i == j:
-            rows.append(i)
-            cols.append(j)
-            vals.append(1.0)
-        else:
-            rows += [i, j]
-            cols += [j, i]
-            vals += [1.0, 1.0]
-    return rows, cols, vals
-
-
-def _coeff_vectors(ms: MomentStructure, *functionals):
-    out = []
-    for coeffs in functionals:
-        vec = np.zeros(ms.class_count)
-        for cid, w in coeffs.items():
-            vec[cid] += w
-        out.append(vec)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class _GuessSdp:
-    """A guessing-probability SDP with the Bell value left open.
-
-    Only F0 and the constant term depend on the Bell value: at value I they
-    are ``problem.c + t * f0_step`` and ``const_fixed + const_step * t``,
-    with t the value of the eliminated class (mode 'eq') or of the slack
-    corner (mode 'ge').  ``problem`` carries the constraints, validated
-    once, and the identity-class indicator as its objective."""
-
-    problem: SdpProblem
-    mode: str
-    f0_step: np.ndarray
-    const_fixed: float
-    const_step: float
-    bell_const: float
-    g_identity: float
-    g_beta: float  # coefficient of the eliminated class; mode 'eq' only
-
-    def at(self, bell_value: float) -> tuple[SdpProblem, float]:
-        """The problem and its constant term at the given Bell value."""
-        if self.mode == "eq":
-            t = (bell_value - self.bell_const - self.g_identity) / self.g_beta
-        else:
-            t = self.bell_const + self.g_identity - bell_value
-        f0 = self.problem.c + t * self.f0_step
-        return self.problem.with_objective(f0), self.const_fixed + self.const_step * t
-
-
-def _guess_problem(ms, bell_coeffs, bell_const, prob_coeffs, prob_const, mode: str):
-    """Reduced formulation of max p s.t. moment structure and Bell value.
-
-    The free moment entries are the variables: the normalization <1> = 1
-    and (for mode 'eq') the Bell equality are eliminated by substitution,
-    leaving the problem  max w.z  s.t.  F0 + sum_i z_i F_i >= 0, which is
-    handed to the solver in its dual slot.  Putting the compact moment
-    body on the dual side keeps the value convergent even when the Bell
-    value is pinned at the relaxation's own maximum, where the feasible
-    set has no interior.  Mode 'ge' keeps the Bell value as a slack
-    inequality in an extra 1x1 diagonal block instead.  Returns a
-    :class:`_GuessSdp`; its ``at`` fills in the Bell value.
-    """
-    g, h = _coeff_vectors(ms, bell_coeffs, prob_coeffs)
-    identity_class = int(ms.entry_class[0, 0])
-    indicators = {cid: _class_indicator_coo(ms, cid) for cid in range(ms.class_count)}
-    extra = 1 if mode == "ge" else 0
-    n = ms.size + extra
-    slack = ms.size  # used only for mode 'ge'
-
-    def as_matrix(cid_weights, corner=0.0):
-        rows, cols, vals = [], [], []
-        for cid, w in cid_weights:
-            if w == 0.0:
-                continue
-            r, c, v = indicators[cid]
-            rows += r
-            cols += c
-            vals += [w * vv for vv in v]
-        if corner != 0.0:
-            rows.append(slack)
-            cols.append(slack)
-            vals.append(corner)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    const_fixed = prob_const + h[identity_class]
-    if mode == "eq":
-        # Eliminate one Bell-carrying class: y_beta = (target - sum g_c y_c)/g_beta.
-        weights = np.abs(g)
-        weights[identity_class] = 0.0
-        beta = int(np.argmax(weights))
-        if abs(g[beta]) < 1e-12:
-            raise ValueError("Bell functional carries no moment dependence")
-        f0_step = as_matrix([(beta, 1.0)]).toarray()
-        const_step = h[beta]
-        g_beta = g[beta]
-        free = [
-            cid
-            for cid in range(ms.class_count)
-            if cid not in (identity_class, beta)
-        ]
-        constraints = [
-            (-(as_matrix([(cid, 1.0), (beta, -g[cid] / g[beta])])),
-             h[cid] - h[beta] * g[cid] / g[beta])
-            for cid in free
-        ]
-    else:
-        # Slack block carries Bell(z) - I >= 0.
-        f0_step = as_matrix([], corner=1.0).toarray()
-        const_step = 0.0
-        g_beta = 0.0
-        free = [cid for cid in range(ms.class_count) if cid != identity_class]
-        constraints = [
-            (-(as_matrix([(cid, 1.0)], corner=g[cid])), h[cid]) for cid in free
-        ]
-    return _GuessSdp(
-        problem=SdpProblem(
-            n=n,
-            c=as_matrix([(identity_class, 1.0)]).toarray(),
-            constraints=constraints,
-            sense="min",
-        ),
-        mode=mode,
-        f0_step=f0_step,
-        const_fixed=const_fixed,
-        const_step=const_step,
-        bell_const=bell_const,
-        g_identity=g[identity_class],
-        g_beta=g_beta,
-    )
 
 
 _guess_cache: dict = {}
 
 
 def _cached_guess_problem(expr: BellExpression, level: str, x: int, y: int,
-                          a: int, b: int, mode: str) -> _GuessSdp:
+                          a: int, b: int, mode: str) -> _ReducedSdp:
     """The guessing SDP of p(ab|xy), built once per expression and level."""
     key = _expr_cache_key(expr, level) + (x, y, a, b, mode)
     guess = _guess_cache.get(key)
     if guess is None:
         ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
-        bell_coeffs, bell_const = _bell_functional(ms, expr)
-        prob_coeffs, prob_const = _prob_functional(ms, x, y, a, b)
-        guess = _guess_problem(
-            ms, bell_coeffs, bell_const, prob_coeffs, prob_const, mode
+        guess = _reduced_sdp(
+            ms, _prob_functional(ms, x, y, a, b), _bell_functional(ms, expr), mode
         )
         _guess_cache[key] = guess
     return guess

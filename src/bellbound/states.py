@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .linalg import EPS_HERM, hermitian_eig, is_hermitian, kron
+from .linalg import EPS_HERM, hermitian_eig, is_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 ID2 = np.eye(2, dtype=complex)
+# _PAULI_PAIRS[a, b] = sigma_a (x) sigma_b over (sigma_0, ..., sigma_3) = (I, X, Y, Z).
+_PAULI_PAIRS = np.array([[np.kron(sa, sb) for sb in (ID2,) + PAULI] for sa in (ID2,) + PAULI])
 
 EPS_TRACE = 1e-12
 EPS_PSD = -1e-10  # minimum eigenvalue allowed, absorbs outer-product roundoff
@@ -121,24 +123,14 @@ def singlet() -> TwoQubitState:
 
 def correlation_data(state: TwoQubitState) -> CorrelationData:
     """Extract (r, s, T) with r_i = tr((sigma_i (x) I) rho) and friends."""
-    rho = state.rho
-    r = np.array([np.real(np.trace(kron(sig, ID2) @ rho)) for sig in PAULI])
-    s = np.array([np.real(np.trace(kron(ID2, sig) @ rho)) for sig in PAULI])
-    t = np.array(
-        [
-            [np.real(np.trace(kron(si, sj) @ rho)) for sj in PAULI]
-            for si in PAULI
-        ]
-    )
-    return CorrelationData(r=r, s=s, t=t)
+    c = np.einsum("abij,ji->ab", _PAULI_PAIRS, state.rho).real
+    # Contiguous copies: the see-saw's einsums over T are slower on a view.
+    return CorrelationData(r=c[1:, 0].copy(), s=c[0, 1:].copy(), t=c[1:, 1:].copy())
 
 
 def state_from_correlation(data: CorrelationData) -> TwoQubitState:
     """Rebuild the density matrix from its Bloch/correlation data."""
-    rho = np.eye(4, dtype=complex)
-    for i in range(3):
-        rho += data.r[i] * kron(PAULI[i], ID2)
-        rho += data.s[i] * kron(ID2, PAULI[i])
-        for j in range(3):
-            rho += data.t[i, j] * kron(PAULI[i], PAULI[j])
-    return TwoQubitState(rho / 4.0)
+    c = np.empty((4, 4))
+    c[0, 0] = 1.0
+    c[1:, 0], c[0, 1:], c[1:, 1:] = data.r, data.s, data.t
+    return TwoQubitState(np.einsum("ab,abij->ij", c, _PAULI_PAIRS) / 4.0)

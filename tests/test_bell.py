@@ -334,14 +334,6 @@ class TestBehavior:
             assert np.max(np.abs(pa - pa[:, :1, :])) <= 1e-10
             assert np.max(np.abs(pb - pb[:1, :, :])) <= 1e-10
 
-    def test_csv_layout(self):
-        z = np.array([0.0, 0.0, 1.0])
-        strat = MeasurementStrategy(alice=z[None, :], bob=z[None, :])
-        text = behavior_from(singlet(), strat).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,y,a,b,p"
-        assert len(lines) == 5
-
 
 class TestViolationThreshold:
     def test_pure_family(self):

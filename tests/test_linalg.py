@@ -107,16 +107,19 @@ class TestSvd3:
 
 
 class TestKron:
+    """np.kron's index order, which the basis order |00>, |01>, |10>, |11>
+    of states and Bell operators relies on."""
+
     def test_identity(self):
-        assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_pauli_zz(self):
-        assert np.allclose(linalg.kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
+        assert np.allclose(np.kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
 
     def test_elementwise_definition(self):
         # Independent expansion of the defining formula.
         a, b = SIGMA_X, SIGMA_Y
-        out = linalg.kron(a, b)
+        out = np.kron(a, b)
         expected = np.zeros((4, 4), dtype=complex)
         for i in range(2):
             for j in range(2):
@@ -132,8 +135,8 @@ class TestKron:
         paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z, np.eye(2, dtype=complex)]
         for _ in range(30):
             ms = [paulis[rng.integers(4)] for _ in range(3)]
-            left = linalg.kron(linalg.kron(ms[0], ms[1]), ms[2])
-            right = linalg.kron(ms[0], linalg.kron(ms[1], ms[2]))
+            left = np.kron(np.kron(ms[0], ms[1]), ms[2])
+            right = np.kron(ms[0], np.kron(ms[1], ms[2]))
             assert np.array_equal(left, right)
 
     def test_associativity_random_complex(self):
@@ -143,8 +146,8 @@ class TestKron:
                 rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                 for _ in range(3)
             ]
-            left = linalg.kron(linalg.kron(ms[0], ms[1]), ms[2])
-            right = linalg.kron(ms[0], linalg.kron(ms[1], ms[2]))
+            left = np.kron(np.kron(ms[0], ms[1]), ms[2])
+            right = np.kron(ms[0], np.kron(ms[1], ms[2]))
             assert np.allclose(left, right, rtol=1e-15, atol=0.0)
 
 

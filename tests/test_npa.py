@@ -19,7 +19,7 @@ from bellbound import (
 )
 from bellbound import npa
 from bellbound.errors import InfeasibleValue, OutOfRange, UnsupportedLevel
-from bellbound.npa import curve_csv, structure_constraints
+from bellbound.npa import curve_csv
 
 ROOT2 = np.sqrt(2.0)
 ROOT3 = np.sqrt(3.0)
@@ -35,7 +35,8 @@ class TestMomentStructure:
         ms = build_moment_structure(Scenario(3, 4), 2)
         assert ms.monomials[0].alice == () and ms.monomials[0].bob == ()
         assert ms.entry_class[0, 0] == 0
-        assert ms.class_members[0] == ((0, 0),)
+        assert np.count_nonzero(ms.entry_class == 0) == 1
+        assert ms.class_indicator[:, 0].nonzero()[0].tolist() == [0]
 
     def test_entry_classes_are_symmetric(self):
         ms = build_moment_structure(Scenario(3, 4), 2)
@@ -68,8 +69,38 @@ class TestMomentStructure:
 
     def test_constraint_budget(self):
         ms = build_moment_structure(Scenario(3, 4), 2)
-        cons = structure_constraints(ms)
-        assert len(cons) <= ms.size * (ms.size + 1) // 2
+        bell = npa._bell_functional(ms, ebi())
+        prob = npa._prob_functional(ms, 0, 0, 0, 0)
+        budget = ms.size * (ms.size + 1) // 2
+        tsirelson = npa._reduced_sdp(ms, bell).problem
+        eq = npa._reduced_sdp(ms, prob, bell, "eq").problem
+        ge = npa._reduced_sdp(ms, prob, bell, "ge").problem
+        assert len(tsirelson.constraints) == ms.class_count - 1 == 301
+        assert len(eq.constraints) == ms.class_count - 2
+        assert len(ge.constraints) == ms.class_count - 1
+        for problem in (tsirelson, eq, ge):
+            assert len(problem.constraints) <= budget
+
+    @pytest.mark.parametrize("level", ["1", "1+AB", "2"])
+    @pytest.mark.parametrize("expr", [ebi(), chsh(), chained(3)],
+                             ids=["ebi", "chsh", "chained3"])
+    def test_tsirelson_operator_spans_the_moment_matrix(self, expr, level):
+        # F0 + sum_i z_i F_i = z[entry_class] with F0 = C and F_i = -A_i,
+        # the free classes being every class but the identity, in order.
+        ms = build_moment_structure(
+            Scenario(expr.alice_settings, expr.bob_settings), level
+        )
+        problem = npa._reduced_sdp(ms, npa._bell_functional(ms, expr)).problem
+        identity = ms.entry_class[0, 0]
+        free = [c for c in range(ms.class_count) if c != identity]
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            z = rng.normal(size=ms.class_count)
+            z[identity] = 1.0
+            matrix = problem.c.copy()
+            for (a, _), cid in zip(problem.constraints, free, strict=True):
+                matrix -= z[cid] * a.toarray()
+            assert np.max(np.abs(matrix - z[ms.entry_class])) <= 1e-14
 
     def test_unsupported_level(self):
         with pytest.raises(UnsupportedLevel):
@@ -85,6 +116,17 @@ class TestTsirelsonBound:
         assert abs(tsirelson_bound(ebi(), 1) - 4 * ROOT3) <= 1e-5
         assert abs(tsirelson_bound(chsh(), 1) - 2 * ROOT2) <= 1e-5
         assert abs(tsirelson_bound(chained(3), 1) - 3 * ROOT3) <= 1e-4
+
+    @pytest.mark.parametrize("level", ["1", "1+AB", "2"])
+    @pytest.mark.parametrize(
+        "expr,qmax",
+        [(ebi(), 4 * ROOT3), (chsh(), 2 * ROOT2), (chained(3), 3 * ROOT3)],
+        ids=["ebi", "chsh", "chained3"],
+    )
+    def test_values_bound_the_quantum_maximum(self, expr, qmax, level):
+        value = tsirelson_bound(expr, level)
+        assert abs(value - qmax) <= 1e-7
+        assert value >= qmax - 1e-9
 
     def test_levels_are_non_increasing(self):
         for expr in (ebi(), chsh(), chained(3)):
@@ -169,7 +211,7 @@ class TestGuessProblemReuse:
         ms = build_moment_structure(
             Scenario(expr.alice_settings, expr.bob_settings), level
         )
-        bell_coeffs, bell_const = npa._bell_functional(ms, expr)
+        bell = npa._bell_functional(ms, expr)
         cb, qmax = classical_bound(expr), tsirelson_bound(expr, level)
         values = [cb + f * (qmax - cb) for f in (0.3, 0.6, 0.9)]
         for value in values + values[-2::-1]:  # up, then back down
@@ -178,9 +220,8 @@ class TestGuessProblemReuse:
                 for b in range(2):
                     reused = npa._cached_guess_problem(expr, level, 0, 0, a, b, mode)
                     problem, const = reused.at(value)
-                    prob_coeffs, prob_const = npa._prob_functional(ms, 0, 0, a, b)
-                    fresh, fresh_const = npa._guess_problem(
-                        ms, bell_coeffs, bell_const, prob_coeffs, prob_const, mode
+                    fresh, fresh_const = npa._reduced_sdp(
+                        ms, npa._prob_functional(ms, 0, 0, a, b), bell, mode
                     ).at(value)
                     assert problem._amat is reused.problem._amat
                     assert np.array_equal(problem.c, fresh.c)

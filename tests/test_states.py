@@ -11,7 +11,7 @@ from bellbound import (
     werner_state,
 )
 from bellbound.errors import OutOfRange
-from bellbound.linalg import hermitian_eig, kron, svd3
+from bellbound.linalg import hermitian_eig, svd3
 from bellbound.states import ID2, PAULI
 
 
@@ -22,10 +22,10 @@ def trace_oracle(state: TwoQubitState) -> CorrelationData:
     s = np.zeros(3)
     t = np.zeros((3, 3))
     for i in range(3):
-        r[i] = np.real(np.trace(kron(PAULI[i], ID2) @ rho))
-        s[i] = np.real(np.trace(kron(ID2, PAULI[i]) @ rho))
+        r[i] = np.real(np.trace(np.kron(PAULI[i], ID2) @ rho))
+        s[i] = np.real(np.trace(np.kron(ID2, PAULI[i]) @ rho))
         for j in range(3):
-            t[i, j] = np.real(np.trace(kron(PAULI[i], PAULI[j]) @ rho))
+            t[i, j] = np.real(np.trace(np.kron(PAULI[i], PAULI[j]) @ rho))
     return CorrelationData(r=r, s=s, t=t)
 
 
