@@ -9,73 +9,43 @@ gram-demo (the 4x4 Gram-matrix SDP with its dual certificate).
 
 Numbers print with 6 decimals in human mode and 12 significant digits in
 CSV/JSON.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.  Grid sweeps run one point at a time by default; --threads N or
-BELLBOUND_THREADS=N runs N points at once on a thread pool, which gives
-the same rows, always written in grid order.  Importing the package pins
-OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set (see
-bellbound.linalg).
+failure.  Grid sweeps compute one point at a time, in grid order, and stop
+at the first point that fails.  ``--config FILE`` supplies defaults from a
+JSON object keyed by option name (``state_file``, ``grid``, ``json``, ...);
+flags win.  Importing the package pins OpenBLAS to one thread unless
+OPENBLAS_NUM_THREADS is set (see bellbound.linalg).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bell, npa, sdp, states
-from .errors import (
-    BellboundError,
-    InfeasibleValue,
-    NoConvergence,
-    NonHermitianInput,
-    NotPositiveDefinite,
-    SolverError,
-)
+from .errors import BellboundError, InfeasibleValue, NotPositiveDefinite, SolverError
+from .linalg import svd3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (
-    SolverError,
-    NotPositiveDefinite,
-    NoConvergence,
-    NonHermitianInput,
-    InfeasibleValue,
-)
+_NUMERICAL_ERRORS = (SolverError, NotPositiveDefinite, InfeasibleValue)
 
-
-@dataclass
-class RunConfig:
-    command: str
-    state: str | None = None
-    state_file: str | None = None
-    theta: float | None = None
-    p: float | None = None
-    family: str | None = None
-    expr: str | None = None
-    n: int = 3
-    level: str = "2"
-    pair: tuple[int, int] = (0, 0)
-    grid: tuple[float, float, int] | None = None
-    out: str | None = None
-    compare: str | None = None
-    seed: int = 0
-    threads: int | None = None
-    json_output: bool = False
-
-
-def _g12(value: float) -> str:
-    return f"{float(value):.12g}"
+_EXPRESSIONS = {
+    "ebi": lambda n: bell.ebi(),
+    "chsh": lambda n: bell.chsh(),
+    "chained": bell.chained,
+}
+_FAMILIES = {"pure": "pure-theta", "werner": "werner-p"}
 
 
 def _jnum(value: float) -> float:
-    return float(_g12(value))
+    """``value`` rounded to the 12 significant digits JSON output carries."""
+    return float(f"{float(value):.12g}")
 
 
 _CLAMP_SLACK = 1e-3  # absorbs decimal roundings like 0.7854 for pi/4
@@ -90,60 +60,41 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return value
 
 
-def _resolve_state(cfg: RunConfig) -> states.TwoQubitState:
-    if cfg.state_file:
-        with open(cfg.state_file) as fh:
+def _lookup(table: dict, kind: str, name):
+    try:
+        return table[name]
+    except KeyError:
+        raise BellboundError(f"unknown {kind} {name!r}") from None
+
+
+def _resolve_state(args: argparse.Namespace) -> states.TwoQubitState:
+    if args.state_file:
+        with open(args.state_file) as fh:
             return states.TwoQubitState.from_json(fh.read())
-    if cfg.state == "pure":
-        if cfg.theta is None:
+    if args.state == "pure":
+        if args.theta is None:
             raise BellboundError("--state pure requires --theta")
-        return states.pure_state(_clamp(cfg.theta, 0.0, np.pi / 4))
-    if cfg.state == "werner":
-        if cfg.p is None:
+        return states.pure_state(_clamp(args.theta, 0.0, np.pi / 4))
+    if args.state == "werner":
+        if args.p is None:
             raise BellboundError("--state werner requires --p")
-        return states.werner_state(_clamp(cfg.p, 0.0, 1.0))
-    if cfg.state == "singlet":
+        return states.werner_state(_clamp(args.p, 0.0, 1.0))
+    if args.state == "singlet":
         return states.singlet()
-    raise BellboundError(f"unknown state {cfg.state!r}")
+    raise BellboundError(f"unknown state {args.state!r}")
 
 
 def _resolve_expr(name: str | None, n: int) -> bell.BellExpression:
-    if name == "ebi":
-        return bell.ebi()
-    if name == "chsh":
-        return bell.chsh()
-    if name == "chained":
-        return bell.chained(n)
-    raise BellboundError(f"unknown expression {name!r}")
+    return _lookup(_EXPRESSIONS, "expression", name)(n)
 
 
-def _family_name(family: str | None) -> str:
-    if family == "pure":
-        return "pure-theta"
-    if family == "werner":
-        return "werner-p"
-    raise BellboundError(f"unknown family {family!r}")
-
-
-def _thread_count(cfg: RunConfig) -> int:
-    if cfg.threads is not None:
-        return max(1, cfg.threads)
-    env = os.environ.get("BELLBOUND_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def cmd_bound(cfg: RunConfig) -> int:
-    state = _resolve_state(cfg)
-    data = states.correlation_data(state)
-    from .linalg import svd3
-
-    sv = svd3(data.t).singular_values
+def cmd_bound(args: argparse.Namespace) -> int:
+    state = _resolve_state(args)
+    sv = svd3(states.correlation_data(state).t).singular_values
     tight = bell.tight_bound(state)
     cb = bell.classical_bound(bell.ebi())
     violated = tight > cb + 1e-12
-    if cfg.json_output:
+    if args.json:
         print(
             json.dumps(
                 {
@@ -162,8 +113,8 @@ def cmd_bound(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_measure(cfg: RunConfig) -> int:
-    state = _resolve_state(cfg)
+def cmd_measure(args: argparse.Namespace) -> int:
+    state = _resolve_state(args)
     strategy = bell.optimal_measurements(state)
     report = bell.tightness_check(state, strategy)
     value = bell.expectation(state, bell.ebi(), strategy)
@@ -179,7 +130,7 @@ def cmd_measure(cfg: RunConfig) -> int:
             "bound_gap": _jnum(report.bound_gap),
         },
     }
-    if cfg.json_output:
+    if args.json:
         print(json.dumps(payload))
     else:
         print(strategy.to_json())
@@ -192,21 +143,21 @@ def cmd_measure(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_classical(cfg: RunConfig) -> int:
-    value = bell.classical_bound(_resolve_expr(cfg.expr, cfg.n))
-    print(json.dumps({"classical_bound": _jnum(value)}) if cfg.json_output
+def cmd_classical(args: argparse.Namespace) -> int:
+    value = bell.classical_bound(_resolve_expr(args.expr, args.n))
+    print(json.dumps({"classical_bound": _jnum(value)}) if args.json
           else f"classical bound  {value:.6f}")
     return EXIT_OK
 
 
-def cmd_tsirelson(cfg: RunConfig) -> int:
-    value = npa.tsirelson_bound(_resolve_expr(cfg.expr, cfg.n), cfg.level)
-    print(json.dumps({"tsirelson_bound": _jnum(value), "level": cfg.level})
-          if cfg.json_output else f"tsirelson bound  {value:.6f} (level {cfg.level})")
+def cmd_tsirelson(args: argparse.Namespace) -> int:
+    value = npa.tsirelson_bound(_resolve_expr(args.expr, args.n), args.level)
+    print(json.dumps({"tsirelson_bound": _jnum(value), "level": args.level})
+          if args.json else f"tsirelson bound  {value:.6f} (level {args.level})")
     return EXIT_OK
 
 
-def cmd_gram_demo(cfg: RunConfig) -> int:
+def cmd_gram_demo(args: argparse.Namespace) -> int:
     solution = sdp.solve(sdp.gram_problem())
     if solution.status != sdp.OPTIMAL:
         print(f"solver status: {solution.status}", file=sys.stderr)
@@ -217,7 +168,7 @@ def cmd_gram_demo(cfg: RunConfig) -> int:
         and abs(solution.dual_obj + 2.0) <= 1e-6
         and feasible
     )
-    if cfg.json_output:
+    if args.json:
         print(
             json.dumps(
                 {
@@ -240,12 +191,37 @@ def cmd_gram_demo(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_randomness(cfg: RunConfig) -> int:
-    if cfg.grid is None:
+def _curve(args: argparse.Namespace, family: str, expr: bell.BellExpression, params):
+    """Min-entropy points of ``expr`` over ``params``, in grid order.
+
+    Returns the points before the first numerical failure and that failure
+    (None if every point succeeded); no point after a failure is computed.
+    """
+    # Every point shares the Tsirelson bound; failing to compute it is not
+    # a truncated curve.
+    npa.tsirelson_bound(expr, args.level)
+    points: list[npa.RandomnessPoint] = []
+    # Points run one at a time.  The one-worker executor stays only because
+    # the benchmark's tracer hooks it; dropping it waits for a benchmark change.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for param in params:
+            task = pool.submit(
+                npa.min_entropy_curve,
+                family, [float(param)], expr, args.level, args.pair, args.seed,
+            )
+            try:
+                points.append(task.result()[0])
+            except _NUMERICAL_ERRORS as exc:
+                return points, exc
+    return points, None
+
+
+def cmd_randomness(args: argparse.Namespace) -> int:
+    if args.grid is None:
         raise BellboundError("randomness requires --grid start:stop:steps")
-    family = _family_name(cfg.family)
-    expr = _resolve_expr(cfg.expr, cfg.n)
-    start, stop, steps = cfg.grid
+    family = _lookup(_FAMILIES, "family", args.family)
+    expr = _resolve_expr(args.expr, args.n)
+    start, stop, steps = args.grid
     lo, hi = bell.family_domain(family)
     start, stop = _clamp(start, lo, hi), _clamp(stop, lo, hi)
     if start < lo or stop > hi:
@@ -254,33 +230,14 @@ def cmd_randomness(cfg: RunConfig) -> int:
         )
     params = np.linspace(start, stop, steps)
 
-    # Warm shared caches before dispatching workers.
-    npa.tsirelson_bound(expr, cfg.level)
-
-    def one(param: float) -> npa.RandomnessPoint:
-        return npa.min_entropy_curve(
-            family, [param], expr, cfg.level, cfg.pair, cfg.seed
-        )[0]
-
-    rows: list[str] = [npa.CURVE_CSV_HEADER]
-    points: list[npa.RandomnessPoint] = []
-    failure: Exception | None = None
-    workers = _thread_count(cfg)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(one, float(p)) for p in params]
-        for param, fut in zip(params, futures):
-            try:
-                pt = fut.result()
-            except _NUMERICAL_ERRORS as exc:
-                failure = exc
-                break
-            points.append(pt)
-            rows.append(npa.curve_csv_row(float(param), pt))
+    points, failure = _curve(args, family, expr, params)
+    rows = [npa.CURVE_CSV_HEADER]
+    rows += [npa.curve_csv_row(float(p), pt) for p, pt in zip(params, points)]
     if failure is not None:
         rows.append("# truncated")
     text = "\n".join(rows) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -288,26 +245,17 @@ def cmd_randomness(cfg: RunConfig) -> int:
         print(f"solver failure: {failure}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    best = max(points, key=lambda pt: pt.min_entropy)
-    best_param = params[max(range(len(points)), key=lambda i: points[i].min_entropy)]
-    print(f"max entropy      {best.min_entropy:.6f} bits at param {best_param:.6f}")
-    if cfg.compare:
-        other_expr = _resolve_expr(cfg.compare, cfg.n)
-        npa.tsirelson_bound(other_expr, cfg.level)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            other = list(
-                pool.map(
-                    lambda p: npa.min_entropy_curve(
-                        family, [float(p)], other_expr, cfg.level, cfg.pair, cfg.seed
-                    )[0],
-                    params,
-                )
-            )
+    best = max(range(len(points)), key=lambda i: points[i].min_entropy)
+    print(f"max entropy      {points[best].min_entropy:.6f} bits at param {params[best]:.6f}")
+    if args.compare:
+        other, failure = _curve(args, family, _resolve_expr(args.compare, args.n), params)
+        if failure is not None:
+            raise failure
         crossing = npa.entropy_crossover(params, points, other)
         if crossing is None:
-            print(f"crossover vs {cfg.compare}: none")
+            print(f"crossover vs {args.compare}: none")
         else:
-            print(f"crossover vs {cfg.compare}: param {crossing:.6f}")
+            print(f"crossover vs {args.compare}: param {crossing:.6f}")
     return EXIT_OK
 
 
@@ -328,7 +276,30 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _read_config(path: str) -> dict:
+    """Option defaults from a JSON object keyed by option name.
+
+    Each value is turned back into the text of its flag (``grid`` and
+    ``pair`` lists joined by the flag's separator), so argparse runs it
+    through the same ``type=`` parser as the flag.  Booleans such as
+    ``json`` and nulls pass through.
+    """
+    with open(path) as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        raise BellboundError(f"config {path} must hold a JSON object")
+    separators = {"grid": ":", "pair": ","}
+    for key, value in values.items():
+        if key in separators and isinstance(value, list):
+            values[key] = separators[key].join(map(str, value))
+        elif not isinstance(value, (bool, type(None))):
+            values[key] = str(value)
+    return values
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The ``bellbound`` parser; ``defaults`` (from ``--config``) replace
+    the built-in defaults of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="bellbound",
         description="Bell-violation bounds and device-independent randomness",
@@ -336,99 +307,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default options")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", dest="json_output")
-        p.add_argument("--seed", type=int, default=None)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
+    common.add_argument("--seed", type=int, default=0)
 
-    p_bound = sub.add_parser("bound", help="tight violation bound of a state")
-    p_bound.add_argument("--state", choices=["pure", "werner", "singlet"])
-    p_bound.add_argument("--state-file", dest="state_file",
-                         help="JSON file with a 4x4 [re, im] density matrix")
-    p_bound.add_argument("--theta", type=float)
-    p_bound.add_argument("--p", type=float)
-    common(p_bound)
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", choices=["pure", "werner", "singlet"])
+    state.add_argument("--state-file", help="JSON file with a 4x4 [re, im] density matrix")
+    state.add_argument("--theta", type=float)
+    state.add_argument("--p", type=float)
 
-    p_measure = sub.add_parser("measure", help="optimal measurements + tightness")
-    p_measure.add_argument("--state", choices=["pure", "werner", "singlet"])
-    p_measure.add_argument("--state-file", dest="state_file",
-                           help="JSON file with a 4x4 [re, im] density matrix")
-    p_measure.add_argument("--theta", type=float)
-    p_measure.add_argument("--p", type=float)
-    common(p_measure)
+    expr = argparse.ArgumentParser(add_help=False)
+    expr.add_argument("--expr", choices=list(_EXPRESSIONS))
+    expr.add_argument("--n", type=int, default=3)
 
-    p_classical = sub.add_parser("classical", help="deterministic bound")
-    p_classical.add_argument("--expr", choices=["ebi", "chsh", "chained"])
-    p_classical.add_argument("--n", type=int, default=None)
-    common(p_classical)
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--level", choices=["1", "1+AB", "2"], default="2")
 
-    p_tsirelson = sub.add_parser("tsirelson", help="relaxation bound")
-    p_tsirelson.add_argument("--expr", choices=["ebi", "chsh", "chained"])
-    p_tsirelson.add_argument("--n", type=int, default=None)
-    p_tsirelson.add_argument("--level", choices=["1", "1+AB", "2"], default=None)
-    common(p_tsirelson)
+    def command(name, summary, *parents):
+        return sub.add_parser(name, help=summary, parents=[*parents, common])
 
-    p_rand = sub.add_parser("randomness", help="min-entropy curve over a family")
-    p_rand.add_argument("--family", choices=["pure", "werner"])
-    p_rand.add_argument("--expr", choices=["ebi", "chsh", "chained"])
-    p_rand.add_argument("--n", type=int, default=None)
-    p_rand.add_argument("--level", choices=["1", "1+AB", "2"], default=None)
-    p_rand.add_argument("--pair", type=_parse_pair, default=None,
-                        help="input pair x,y (0-based), default 0,0")
-    p_rand.add_argument("--grid", type=_parse_grid, help="start:stop:steps")
-    p_rand.add_argument("--out", help="CSV output path (default stdout)")
-    p_rand.add_argument("--compare", choices=["ebi", "chsh", "chained"])
-    p_rand.add_argument("--threads", type=int, default=None)
-    common(p_rand)
+    command("bound", "tight violation bound of a state", state)
+    command("measure", "optimal measurements + tightness", state)
+    command("classical", "deterministic bound", expr)
+    command("tsirelson", "relaxation bound", expr, level)
+    rand = command("randomness", "min-entropy curve over a family", expr, level)
+    rand.add_argument("--family", choices=list(_FAMILIES))
+    rand.add_argument("--pair", type=_parse_pair, default="0,0",
+                      help="input pair x,y (0-based), default 0,0")
+    rand.add_argument("--grid", type=_parse_grid, help="start:stop:steps")
+    rand.add_argument("--out", help="CSV output path (default stdout)")
+    rand.add_argument("--compare", choices=list(_EXPRESSIONS))
+    command("gram-demo", "Gram-matrix SDP demonstration")
 
-    p_gram = sub.add_parser("gram-demo", help="Gram-matrix SDP demonstration")
-    common(p_gram)
-
+    # After every argument exists: set_defaults only reaches declared ones.
+    for subparser in sub.choices.values():
+        subparser.set_defaults(**(defaults or {}))
     return parser
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
-
-    def pick(name, default):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        if name in file_values:
-            return file_values[name]
-        return default
-
-    grid = pick("grid", None)
-    if isinstance(grid, str):
-        grid = _parse_grid(grid)
-    elif isinstance(grid, list):
-        grid = (float(grid[0]), float(grid[1]), int(grid[2]))
-    pair = pick("pair", (0, 0))
-    if isinstance(pair, str):
-        pair = _parse_pair(pair)
-    elif isinstance(pair, list):
-        pair = (int(pair[0]), int(pair[1]))
-
-    return RunConfig(
-        command=args.command,
-        state=pick("state", None),
-        state_file=pick("state_file", None),
-        theta=pick("theta", None),
-        p=pick("p", None),
-        family=pick("family", None),
-        expr=pick("expr", None),
-        n=int(pick("n", 3)),
-        level=str(pick("level", "2")),
-        pair=pair,
-        grid=grid,
-        out=pick("out", None),
-        compare=pick("compare", None),
-        seed=int(pick("seed", 0)),
-        threads=pick("threads", None),
-        json_output=bool(getattr(args, "json_output", False) or file_values.get("json", False)),
-    )
 
 
 _COMMANDS = {
@@ -442,15 +357,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        if args.config:
+            args = build_parser(_read_config(args.config)).parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (BellboundError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (BellboundError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

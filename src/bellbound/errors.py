@@ -5,14 +5,6 @@ class BellboundError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonHermitianInput(BellboundError):
-    """A matrix handed to a Hermitian routine violates the symmetry tolerance."""
-
-
-class NoConvergence(BellboundError):
-    """An iterative kernel exhausted its sweep or iteration cap."""
-
-
 class NotPositiveDefinite(BellboundError):
     """A Cholesky pivot fell at or below the pivot threshold."""
 

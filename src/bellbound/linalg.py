@@ -1,7 +1,7 @@
 """
-Dense linear-algebra kernels used by every other module: Hermitian
-eigendecomposition, a 3x3 SVD (LAPACK) with a deterministic sign
-convention, and symmetric positive-definite solves.
+Dense linear-algebra kernels used by every other module: a Hermitian
+check, a 3x3 SVD (LAPACK) with a deterministic sign convention, and
+symmetric positive-definite solves.
 
 All routines are pure functions of plain numpy arrays (complex128 for
 operator algebra, float64 for correlation matrices) and are safe to share
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonHermitianInput, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 # Central tolerance record.
 EPS_HERM = 1e-12    # max elementwise |M - M^dag| for "Hermitian"
@@ -73,32 +73,6 @@ class SvdResult3:
 
 def is_hermitian(m: np.ndarray, tol: float = EPS_HERM) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with real eigenvalues in ascending
-    order and orthonormal eigenvectors as columns, so that
-    m @ vecs[:, i] == vals[i] * vecs[:, i] up to roundoff.
-
-    Raises NonHermitianInput if the symmetry tolerance is violated and
-    NoConvergence if the underlying QL/QR iteration fails.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise NonHermitianInput(
-            f"matrix deviates from Hermitian by {np.max(np.abs(m - m.conj().T)):.3e}"
-        )
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        from .errors import NoConvergence
-
-        raise NoConvergence(str(exc)) from exc
-    return vals, vecs
 
 
 def svd3(t: np.ndarray) -> SvdResult3:

@@ -30,7 +30,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import NotPositiveDefinite
-from .linalg import cholesky_spd, hermitian_eig, solve_cholesky
+from .linalg import cholesky_spd, solve_cholesky
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
@@ -420,6 +420,8 @@ def dual_certificate_check(v: np.ndarray) -> tuple[float, bool]:
     """Feasibility of a dual vector: min eigenvalue of W/2 - diag(v)."""
     v = np.asarray(v, dtype=float)
     w = np.ones((4, 4)) - np.eye(4)
-    vals, _ = hermitian_eig(0.5 * w - np.diag(v))
+    # eigh, not eigvalsh: the two LAPACK paths differ in the last bits,
+    # and this eigenvalue (about 1e-9) is printed to 12 digits.
+    vals = np.linalg.eigh(0.5 * w - np.diag(v))[0]
     min_eig = float(vals[0])
     return min_eig, min_eig >= -1e-9

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .linalg import EPS_HERM, hermitian_eig, is_hermitian
+from .linalg import EPS_HERM, is_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -54,7 +54,7 @@ class TwoQubitState:
         tr = complex(np.trace(rho))
         if abs(tr - 1.0) > EPS_TRACE:
             raise ValueError(f"trace is {tr}, expected 1 within 1e-12")
-        vals, _ = hermitian_eig(rho)
+        vals = np.linalg.eigvalsh(rho)
         if vals[0] < EPS_PSD:
             raise ValueError(f"minimum eigenvalue {vals[0]:.3e} below tolerance")
         rho.flags.writeable = False

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,20 +118,16 @@ class TestRandomness:
         ]
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        pooled = tmp_path / "pooled.csv"
         assert run(capsys, *args, "--out", str(first))[0] == 0
         assert run(capsys, *args, "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
-        # Points computed two at a time give the serial default's bytes.
-        assert run(capsys, *args, "--threads", "2", "--out", str(pooled))[0] == 0
-        assert pooled.read_bytes() == first.read_bytes()
 
     def test_entropy_matches_probability_column(self, capsys, tmp_path):
         out_file = tmp_path / "c.csv"
         code, _, _ = run(
             capsys,
             "randomness", "--family", "werner", "--expr", "chsh",
-            "--grid", "0.9:1:3", "--out", str(out_file), "--threads", "2",
+            "--grid", "0.9:1:3", "--out", str(out_file),
         )
         assert code == 0
         # 12 significant digits cap the representable identity error at
@@ -137,6 +135,43 @@ class TestRandomness:
         for line in out_file.read_text().strip().split("\n")[1:]:
             fields = [float(v) for v in line.split(",")]
             assert abs(fields[3] + np.log2(fields[2])) <= 6e-12
+
+    def test_first_failure_stops_the_sweep(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def boom(*args, **kwargs):
+            calls.append(args)
+            raise SolverError("synthetic failure")
+
+        monkeypatch.setattr(npa, "min_entropy_curve", boom)
+        out_file = tmp_path / "e.csv"
+        code, _, _ = run(
+            capsys,
+            "randomness", "--family", "werner", "--expr", "chsh",
+            "--grid", "0.9:1:5", "--out", str(out_file),
+        )
+        assert code == 3
+        assert len(calls) == 1
+        assert out_file.read_text() == npa.CURVE_CSV_HEADER + "\n# truncated\n"
+
+    def test_compare_failure_exits_3(self, capsys, tmp_path, monkeypatch):
+        original = npa.min_entropy_curve
+
+        def fail_chsh(family, grid, expr, *args):
+            if expr.name == "chsh":
+                raise SolverError("synthetic failure")
+            return original(family, grid, expr, *args)
+
+        monkeypatch.setattr(npa, "min_entropy_curve", fail_chsh)
+        code, out, err = run(
+            capsys,
+            "randomness", "--family", "werner", "--expr", "ebi", "--level", "1",
+            "--grid", "0.95:1:2", "--out", str(tmp_path / "f.csv"),
+            "--compare", "chsh",
+        )
+        assert code == 3
+        assert "max entropy" in out and "crossover" not in out
+        assert "numerical failure: synthetic failure" in err
 
     def test_solver_failure_truncates(self, capsys, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -162,15 +197,19 @@ class TestRandomness:
         assert code == 2
 
     def test_thread_env_override(self, capsys, tmp_path, monkeypatch):
+        # Sweeps have no thread knobs: --threads is unknown and
+        # BELLBOUND_THREADS is ignored.
+        args = ["randomness", "--family", "werner", "--expr", "chsh",
+                "--grid", "0.95:1:2"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--threads", "2"])
+        assert exc.value.code == 2
+        plain, env = tmp_path / "plain.csv", tmp_path / "env.csv"
+        assert run(capsys, *args, "--out", str(plain))[0] == 0
         monkeypatch.setenv("BELLBOUND_THREADS", "2")
-        out_file = tmp_path / "env.csv"
-        code, _, _ = run(
-            capsys,
-            "randomness", "--family", "werner", "--expr", "chsh",
-            "--grid", "0.95:1:2", "--out", str(out_file),
-        )
-        assert code == 0
-        assert len(out_file.read_text().strip().split("\n")) == 3
+        assert run(capsys, *args, "--out", str(env))[0] == 0
+        assert env.read_bytes() == plain.read_bytes()
+        assert len(plain.read_text().strip().split("\n")) == 3
 
     def test_missing_grid_exits_2(self, capsys):
         code, _, _ = run(capsys, "randomness", "--family", "werner", "--expr", "chsh")
@@ -206,9 +245,61 @@ class TestConfigFile:
         assert code == 0
         assert abs(json.loads(out)["tight_bound"] - 4 * np.sqrt(3)) < 1e-9
 
+    def test_config_lists_match_flags(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"grid": [0.95, 1, 2], "pair": [0, 0], "level": "1", "json": True, "seed": 7}
+        ))
+        command = ["randomness", "--family", "werner", "--expr", "chsh"]
+        from_config, from_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+        assert run(capsys, "--config", str(config), *command,
+                   "--out", str(from_config))[0] == 0
+        assert run(capsys, *command, "--grid", "0.95:1:2", "--pair", "0,0",
+                   "--level", "1", "--json", "--seed", "7",
+                   "--out", str(from_flags))[0] == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_flag_overrides_config_list(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": [0.9, 1, 5], "level": 1}))
+        command = ["randomness", "--family", "werner", "--expr", "chsh",
+                   "--grid", "0.95:1:2"]
+        overridden, plain = tmp_path / "overridden.csv", tmp_path / "plain.csv"
+        assert run(capsys, "--config", str(config), *command,
+                   "--out", str(overridden))[0] == 0
+        assert run(capsys, *command, "--level", "1", "--out", str(plain))[0] == 0
+        assert overridden.read_bytes() == plain.read_bytes()
+        assert len(plain.read_text().strip().split("\n")) == 3
+
+    def test_config_values_are_parsed_like_flags(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": "0.9:oops"}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(config), "randomness", "--family", "werner",
+                      "--expr", "chsh"])
+        assert exc.value.code == 2
+        config.write_text(json.dumps({"expr": "chained", "n": "4", "json": True}))
+        code, out, _ = run(capsys, "--config", str(config), "classical")
+        assert code == 0
+        assert json.loads(out) == {"classical_bound": 6.0}
+
     def test_missing_config_exits_2(self, capsys):
         code, _, _ = run(capsys, "--config", "/nonexistent.json", "gram-demo")
         assert code == 2
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [words for words in commands if words]
+        assert len(commands) >= 8
+        parser = cli.build_parser()
+        for words in commands:
+            assert words[0] == "bellbound"
+            parser.parse_args(words[1:])
 
 
 class TestArgumentErrors:

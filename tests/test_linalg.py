@@ -8,50 +8,8 @@ import pytest
 
 import bellbound
 from bellbound import linalg
-from bellbound.errors import NonHermitianInput, NotPositiveDefinite
+from bellbound.errors import NotPositiveDefinite
 from bellbound.states import SIGMA_X, SIGMA_Y, SIGMA_Z
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        vals, _ = linalg.hermitian_eig(np.eye(2, dtype=complex))
-        assert np.allclose(vals, [1.0, 1.0])
-
-    def test_pauli_x_spectrum(self):
-        vals, _ = linalg.hermitian_eig(SIGMA_X)
-        assert np.allclose(vals, [-1.0, 1.0])
-
-    def test_random_hermitian_reconstruction(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        m = (m + m.conj().T) / 2
-        vals, vecs = linalg.hermitian_eig(m)
-        rebuilt = vecs @ np.diag(vals) @ vecs.conj().T
-        assert np.max(np.abs(rebuilt - m)) < 1e-10
-        assert np.all(np.diff(vals) >= -1e-14)
-
-    def test_eigenvalue_sum_equals_trace(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            n = rng.integers(2, 7)
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            m = (m + m.conj().T) / 2
-            vals, _ = linalg.hermitian_eig(m)
-            assert abs(np.sum(vals) - np.real(np.trace(m))) < 1e-10
-
-    def test_eigenvector_residual(self):
-        rng = np.random.default_rng(9)
-        m = rng.normal(size=(6, 6))
-        m = (m + m.T) / 2
-        vals, vecs = linalg.hermitian_eig(m.astype(complex))
-        for i in range(6):
-            assert np.max(np.abs(m @ vecs[:, i] - vals[i] * vecs[:, i])) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(NonHermitianInput):
-            linalg.hermitian_eig(np.ones((2, 3)))
 
 
 class TestSvd3:

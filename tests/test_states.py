@@ -11,7 +11,7 @@ from bellbound import (
     werner_state,
 )
 from bellbound.errors import OutOfRange
-from bellbound.linalg import hermitian_eig, svd3
+from bellbound.linalg import svd3
 from bellbound.states import ID2, PAULI
 
 
@@ -33,7 +33,7 @@ def assert_valid(state: TwoQubitState):
     rho = state.rho
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
     assert abs(np.trace(rho) - 1.0) <= 1e-12
-    vals, _ = hermitian_eig(rho)
+    vals = np.linalg.eigvalsh(rho)
     assert vals[0] >= -1e-10
 
 
@@ -77,7 +77,7 @@ class TestWernerState:
 
     def test_eigenvalues(self):
         p = 0.5
-        vals, _ = hermitian_eig(werner_state(p).rho)
+        vals = np.linalg.eigvalsh(werner_state(p).rho)
         expected = np.sort([(1 + 3 * p) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4])
         assert np.max(np.abs(vals - expected)) < 1e-12
 
