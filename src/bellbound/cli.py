@@ -4,7 +4,8 @@ Command-line front end.
 Subcommands: bound (tight violation bound of a state), measure (optimal
 measurement synthesis + saturation report), classical (deterministic
 bound by enumeration), tsirelson (relaxation bound at a level),
-randomness (min-entropy curve over a state family, CSV output), and
+randomness (min-entropy curve over a state family, CSV output, with a
+summary printed as lines or, with --json, one object), and
 gram-demo (the 4x4 Gram-matrix SDP with its dual certificate).
 
 Numbers print with 6 decimals in human mode and 12 significant digits in
@@ -246,16 +247,25 @@ def cmd_randomness(args: argparse.Namespace) -> int:
         return EXIT_NUMERICAL
 
     best = max(range(len(points)), key=lambda i: points[i].min_entropy)
-    print(f"max entropy      {points[best].min_entropy:.6f} bits at param {params[best]:.6f}")
+    summary = {
+        "max_entropy_bits": _jnum(points[best].min_entropy),
+        "argmax_param": _jnum(params[best]),
+        "crossover": None,
+    }
+    if not args.json:
+        print(f"max entropy      {points[best].min_entropy:.6f} bits at param {params[best]:.6f}")
     if args.compare:
         other, failure = _curve(args, family, _resolve_expr(args.compare, args.n), params)
         if failure is not None:
             raise failure
         crossing = npa.entropy_crossover(params, points, other)
-        if crossing is None:
-            print(f"crossover vs {args.compare}: none")
-        else:
-            print(f"crossover vs {args.compare}: param {crossing:.6f}")
+        if crossing is not None:
+            summary["crossover"] = _jnum(crossing)
+        if not args.json:
+            where = "none" if crossing is None else f"param {crossing:.6f}"
+            print(f"crossover vs {args.compare}: {where}")
+    if args.json:
+        print(json.dumps(summary))
     return EXIT_OK
 
 
@@ -309,7 +319,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true")
-    common.add_argument("--seed", type=int, default=0)
 
     state = argparse.ArgumentParser(add_help=False)
     state.add_argument("--state", choices=["pure", "werner", "singlet"])
@@ -338,6 +347,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     rand.add_argument("--grid", type=_parse_grid, help="start:stop:steps")
     rand.add_argument("--out", help="CSV output path (default stdout)")
     rand.add_argument("--compare", choices=list(_EXPRESSIONS))
+    rand.add_argument("--seed", type=int, default=0,
+                      help="see-saw seed for families without a closed form")
     command("gram-demo", "Gram-matrix SDP demonstration")
 
     # After every argument exists: set_defaults only reaches declared ones.

@@ -1,7 +1,7 @@
 """
 Dense linear-algebra kernels used by every other module: a Hermitian
 check, a 3x3 SVD (LAPACK) with a deterministic sign convention, and
-symmetric positive-definite solves.
+triangular and symmetric positive-definite solves on Cholesky factors.
 
 All routines are pure functions of plain numpy arrays (complex128 for
 operator algebra, float64 for correlation matrices) and are safe to share
@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import NotPositiveDefinite
 
@@ -109,7 +109,30 @@ def cholesky_spd(a: np.ndarray) -> np.ndarray:
     return ell
 
 
+def _upper_solve(u: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """u^-1 b (trans=0) or u^-T b (trans=1) for upper-triangular u, by LAPACK
+    dtrtrs.  Raises LinAlgError on a zero pivot."""
+    x, info = dtrtrs(u, b, lower=0, trans=trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+# The two solvers below make the LAPACK calls scipy.linalg.solve_triangular
+# makes for a C-ordered factor, as np.linalg.cholesky returns: it hands
+# LAPACK the Fortran-ordered transpose, an upper factor.  Calling dtrtrs
+# directly gives the same bits without the wrapper's per-call overhead.
+
+
+def solve_lower(ell: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ell^-1 b for a lower-triangular, C-ordered factor ``ell``."""
+    return _upper_solve(ell.T, b, 1)
+
+
 def solve_cholesky(ell: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Back-substitution with a precomputed lower Cholesky factor."""
-    y = scipy.linalg.solve_triangular(ell, b, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(ell.T, y, lower=False, check_finite=False)
+    return _upper_solve(ell.T, solve_lower(ell, b), 0)

@@ -11,8 +11,15 @@ systems are reduced to the m x m Schur complement
     B_ij = tr(A_i X A_j S^-1),
 
 which is symmetric positive definite and factored densely by Cholesky.
-No sparsity is exploited beyond the constraint matrices themselves; the
-moment matrices this package produces stay well under 50 x 50.
+It is assembled as in SDPA for sparse constraints (Fujisawa, Kojima &
+Nakata, Math. Prog. 79 (1997)): row j of an m x n^2 matrix K holds
+vec(X A_j S^-1), a sum of one rank-one term per nonzero of A_j, and
+B = A K^T with A the flattened CSR constraint operator.  The constraints
+are batched by nonzero count when the problem is made, so K is filled by
+one stacked matrix product per group rather than one product per
+constraint.  No other sparsity is exploited; the moment matrices this
+package produces stay well under 50 x 50.  Each iterate's X and S are
+factored once, and the factors serve the step-length searches too.
 
 Also provided: the 4x4 Gram-matrix problem over unit-diagonal PSD
 matrices whose optimum -2 pins the inner-product sum of the four optimal
@@ -26,11 +33,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import NotPositiveDefinite
-from .linalg import cholesky_spd, solve_cholesky
+from .linalg import cholesky_spd, solve_cholesky, solve_lower
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
@@ -65,7 +71,7 @@ class SdpProblem:
     constraints: tuple  # ((A_i, b_i), ...)
     sense: str = "min"
     _amat: sp.csr_matrix = field(init=False, repr=False)
-    _triplets: list = field(init=False, repr=False)
+    _groups: tuple = field(init=False, repr=False)
     _b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -77,7 +83,7 @@ class SdpProblem:
             raise ValueError("at least one equality constraint is required")
         if len(self.constraints) > self.n * (self.n + 1) // 2:
             raise ValueError("more constraints than independent matrix entries")
-        self._amat, self._triplets, self._b = _flatten_constraints(
+        self._amat, self._groups, self._b = _flatten_constraints(
             self.constraints, self.n
         )
         if not np.all(np.isfinite(self._b)):
@@ -138,7 +144,12 @@ class SdpSolution:
 
 
 def _flatten_constraints(constraints, n):
-    """CSR matrix of vectorized constraints plus per-constraint nnz triplets."""
+    """CSR matrix of vectorized constraints, the constraints grouped by
+    nonzero count, and the targets b.
+
+    Each group is (js, R, C, V): the constraint indices js and, stacked one
+    row per constraint, the row indices, column indices and values of its
+    nonzeros, in the order the constraint matrix lists them."""
     rows_idx, flat_idx, data = [], [], []
     triplets = []
     b = np.empty(len(constraints))
@@ -160,7 +171,13 @@ def _flatten_constraints(constraints, n):
         (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(flat_idx))),
         shape=(len(constraints), n * n),
     )
-    return amat, triplets, b
+    sizes = np.array([r.size for r, _, _ in triplets])
+    groups = []
+    for k in np.unique(sizes):
+        js = np.flatnonzero(sizes == k)
+        rr, cc, vv = (np.stack(part) for part in zip(*(triplets[j] for j in js)))
+        groups.append((js, rr, cc, vv))
+    return amat, tuple(groups), b
 
 
 class _IterateBreakdown(Exception):
@@ -175,15 +192,34 @@ def _chol_interior(m: np.ndarray) -> np.ndarray:
         raise _IterateBreakdown(str(exc)) from exc
 
 
-def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
-    """Largest alpha with m + alpha*dm PSD, via the generalized eigenbound."""
-    ell = _chol_interior(m)
-    w = scipy.linalg.solve_triangular(ell, dm, lower=True, check_finite=False)
-    w = scipy.linalg.solve_triangular(ell, w.T, lower=True, check_finite=False)
+def _max_step(ell: np.ndarray, dm: np.ndarray) -> float:
+    """Largest alpha with m + alpha*dm PSD, via the generalized eigenbound;
+    ``ell`` is the lower Cholesky factor of m."""
+    w = solve_lower(ell, dm)
+    w = solve_lower(ell, w.T)
     lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
     if lam_min >= -1e-12:
         return np.inf
     return -1.0 / lam_min
+
+
+def _schur_complement(problem: SdpProblem, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+    """The Schur matrix B_ij = tr(A_i X A_j S^-1), symmetrized.
+
+    Row j of kmat is vec(X A_j S^-1), the sum over the nonzeros (r, c, v)
+    of A_j of v X[:, r] (x) S^-1[c, :]; each group of constraints with the
+    same nonzero count is one batched product.  Each constraint keeps its
+    nonzeros in their listed order, so the sums are those of a loop over
+    the constraints one at a time; the tests compare the two bit for bit."""
+    n = problem.n
+    kmat = np.empty((len(problem.constraints), n * n))
+    xt = x.T
+    for js, rr, cc, vv in problem._groups:
+        kmat[js] = np.matmul(
+            (xt[rr] * vv[..., None]).transpose(0, 2, 1), s_inv[cc]
+        ).reshape(-1, n * n)
+    schur = problem._amat @ kmat.T
+    return 0.5 * (schur + schur.T)
 
 
 def _safe_step(m: np.ndarray, dm: np.ndarray, alpha: float) -> float:
@@ -213,7 +249,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     maximize = problem.sense == "max"
     c_int = -problem.c if maximize else problem.c
     c_int = 0.5 * (c_int + c_int.T)
-    amat, triplets, b = problem._amat, problem._triplets, problem._b
+    amat, b = problem._amat, problem._b
+    amat_t = amat.T
     m = len(problem.constraints)
 
     norm_c = float(np.linalg.norm(c_int))
@@ -222,6 +259,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     s = tau * np.eye(n)
     y = np.zeros(m)
     eye = np.eye(n)
+    eye_m = np.eye(m)
 
     history: list[dict] = []
     status = MAX_ITERATIONS
@@ -240,7 +278,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         pobj = -pobj_int if maximize else pobj_int
         dobj = -dobj_int if maximize else dobj_int
         rp = b - amat @ x.ravel()
-        rd = c_int - s - (amat.T @ y).reshape(n, n)
+        rd = c_int - s - (amat_t @ y).reshape(n, n)
         pr = float(np.max(np.abs(rp))) / (1.0 + float(np.max(np.abs(b))))
         dr = float(np.max(np.abs(rd))) / (1.0 + float(np.max(np.abs(c_int))))
         mu = float(np.sum(x * s)) / n
@@ -288,14 +326,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             s_inv = solve_cholesky(ell_s, eye)
             s_inv = 0.5 * (s_inv + s_inv.T)
 
-            # Schur complement B_ij = tr(A_i X A_j S^-1), assembled from the
-            # sparse constraint triplets: X A_j S^-1 is a sum of rank-one
-            # terms X[:, r] (x) S^-1[c, :].
-            kmat = np.empty((m, n * n))
-            for j, (rr, cc, vv) in enumerate(triplets):
-                kmat[j] = ((x[:, rr] * vv) @ s_inv[cc, :]).ravel()
-            schur = amat @ kmat.T
-            schur = 0.5 * (schur + schur.T)
+            schur = _schur_complement(problem, x, s_inv)
 
             # Jacobi-scaled Cholesky with escalating regularization; the raw
             # Schur matrix mixes rows of very different magnitudes.
@@ -305,7 +336,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             reg = 1e-14
             for attempt in range(6):
                 try:
-                    ell_b = cholesky_spd(scaled + reg * np.eye(m))
+                    ell_b = cholesky_spd(scaled + reg * eye_m)
                     break
                 except NotPositiveDefinite:
                     reg *= 1e3
@@ -327,13 +358,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
             # Predictor (affine scaling, target 0).
             rhs_aff = b + amat @ x_rd_sinv.ravel()
             dy_a = newton_solve(rhs_aff)
-            ds_a = rd - (amat.T @ dy_a).reshape(n, n)
+            ds_a = rd - (amat_t @ dy_a).reshape(n, n)
             ds_a = 0.5 * (ds_a + ds_a.T)
             dx_a = -x - x @ ds_a @ s_inv
             dx_a = 0.5 * (dx_a + dx_a.T)
 
-            alpha_p = min(1.0, _max_step(x, dx_a))
-            alpha_d = min(1.0, _max_step(s, ds_a))
+            ell_x = _chol_interior(x)
+            alpha_p = min(1.0, _max_step(ell_x, dx_a))
+            alpha_d = min(1.0, _max_step(ell_s, ds_a))
             mu_aff = max(
                 0.0,
                 float(np.sum((x + alpha_p * dx_a) * (s + alpha_d * ds_a))) / n,
@@ -350,13 +382,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 + amat @ cross.ravel()
             )
             dy = newton_solve(rhs)
-            ds = rd - (amat.T @ dy).reshape(n, n)
+            ds = rd - (amat_t @ dy).reshape(n, n)
             ds = 0.5 * (ds + ds.T)
             dx = nu * s_inv - x - (x @ ds + dx_a @ ds_a) @ s_inv
             dx = 0.5 * (dx + dx.T)
 
-            alpha_p = min(1.0, _STEP_FRACTION * _max_step(x, dx))
-            alpha_d = min(1.0, _STEP_FRACTION * _max_step(s, ds))
+            alpha_p = min(1.0, _STEP_FRACTION * _max_step(ell_x, dx))
+            alpha_d = min(1.0, _STEP_FRACTION * _max_step(ell_s, ds))
         except _IterateBreakdown:
             broke_down = True  # cannot factor the current iterate any further
             break

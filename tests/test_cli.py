@@ -211,6 +211,44 @@ class TestRandomness:
         assert env.read_bytes() == plain.read_bytes()
         assert len(plain.read_text().strip().split("\n")) == 3
 
+    def test_json_summary(self, capsys, tmp_path):
+        args = ["randomness", "--family", "werner", "--expr", "ebi", "--level", "1",
+                "--grid", "0.95:1:3", "--compare", "chsh"]
+        plain_csv, json_csv = tmp_path / "plain.csv", tmp_path / "json.csv"
+        code, plain, _ = run(capsys, *args, "--out", str(plain_csv))
+        assert code == 0
+        code, out, _ = run(capsys, *args, "--out", str(json_csv), "--json")
+        assert code == 0
+        assert json_csv.read_bytes() == plain_csv.read_bytes()
+        payload = json.loads(out)
+        assert set(payload) == {"max_entropy_bits", "argmax_param", "crossover"}
+        words = plain.split("\n")[0].split()  # max entropy E bits at param P
+        entropy, param = words[2], words[-1]
+        assert abs(payload["max_entropy_bits"] - float(entropy)) <= 5e-7
+        assert abs(payload["argmax_param"] - float(param)) <= 5e-7
+        crossover = plain.split("\n")[1].rsplit(" ", 1)[1]
+        assert abs(payload["crossover"] - float(crossover)) <= 5e-7
+
+    def test_json_summary_without_crossover(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys,
+            "randomness", "--family", "werner", "--expr", "chsh",
+            "--grid", "0:0.5:2", "--out", str(tmp_path / "g.csv"), "--json",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "max_entropy_bits": 0.0, "argmax_param": 0.0, "crossover": None
+        }
+
+    def test_seed_is_a_randomness_option(self, capsys):
+        parser = cli.build_parser()
+        assert parser.parse_args(["randomness", "--seed", "3"]).seed == 3
+        for command in (["bound", "--state", "singlet"], ["gram-demo"],
+                        ["classical", "--expr", "chsh"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*command, "--seed", "3"])
+            assert exc.value.code == 2
+
     def test_missing_grid_exits_2(self, capsys):
         code, _, _ = run(capsys, "randomness", "--family", "werner", "--expr", "chsh")
         assert code == 2

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import bellbound
 from bellbound import linalg
@@ -133,6 +134,27 @@ class TestSolveSpd:
             b = rng.normal(size=n)
             x = self.solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-9 * (1 + np.linalg.norm(b))
+
+    def test_matches_scipy_triangular_solves(self):
+        # The direct LAPACK calls give the bits of the scipy wrapper.
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 38, 300):
+            a = rng.normal(size=(n, n))
+            ell = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+            for b in (rng.normal(size=n), rng.normal(size=(n, 3)), np.eye(n)):
+                lower = scipy.linalg.solve_triangular(ell, b, lower=True, check_finite=False)
+                full = scipy.linalg.solve_triangular(ell.T, lower, lower=False,
+                                                     check_finite=False)
+                assert np.array_equal(linalg.solve_lower(ell, b), lower)
+                assert np.array_equal(linalg.solve_cholesky(ell, b), full)
+
+    def test_zero_pivot_raises(self):
+        ell = np.linalg.cholesky(np.diag([4.0, 9.0, 16.0]))
+        ell[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.solve_cholesky(ell, np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.solve_lower(ell, np.ones(3))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):

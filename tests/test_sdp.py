@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
-from bellbound import SdpProblem, dual_certificate_check, gram_problem, solve
-from bellbound.sdp import MAX_ITERATIONS, OPTIMAL
+from bellbound import SdpProblem, bell, dual_certificate_check, gram_problem, npa, solve
+from bellbound.sdp import MAX_ITERATIONS, OPTIMAL, _max_step, _schur_complement
 
 
 def engineered_problem(rng: np.random.Generator):
@@ -172,3 +174,89 @@ class TestSerialization:
         assert set(payload) == {"n", "C", "constraints", "sense"}
         assert len(payload["constraints"]) == 4
         assert payload["constraints"][0]["b"] == 1.0
+
+
+def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
+    g = rng.normal(size=(n, n))
+    return g @ g.T + n * np.eye(n)
+
+
+def loop_schur(problem: SdpProblem, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+    """Reference: the per-constraint loop the batched assembly replaced."""
+    n = problem.n
+    kmat = np.empty((len(problem.constraints), n * n))
+    for j, (a, _) in enumerate(problem.constraints):
+        if sp.issparse(a):
+            coo = a.tocoo()
+            rr, cc, vv = coo.row, coo.col, coo.data
+        else:
+            rr, cc = np.nonzero(a)
+            vv = a[rr, cc]
+        kmat[j] = ((x[:, rr] * vv) @ s_inv[cc, :]).ravel()
+    schur = problem._amat @ kmat.T
+    return 0.5 * (schur + schur.T)
+
+
+def ebi_problems() -> dict:
+    expr = bell.ebi()
+    ms = npa._structure_cached(expr.alice_settings, expr.bob_settings, "2")
+    problems = {"tsirelson": npa._reduced_sdp(ms, npa._bell_functional(ms, expr)).problem}
+    for mode in ("eq", "ge"):
+        problems[mode] = npa._cached_guess_problem(expr, "2", 0, 0, 0, 0, mode).problem
+    return problems
+
+
+class TestSchurAssembly:
+    @pytest.fixture(scope="class")
+    def problems(self):
+        rng = np.random.default_rng(8)
+        return {"gram": gram_problem(), "engineered": engineered_problem(rng)[0],
+                **ebi_problems()}
+
+    @pytest.mark.parametrize("name", ["gram", "engineered", "tsirelson", "eq", "ge"])
+    def test_matches_dense_trace_oracle(self, problems, name):
+        problem = problems[name]
+        n, m = problem.n, len(problem.constraints)
+        rng = np.random.default_rng(21)
+        x, s = random_spd(rng, n), random_spd(rng, n)
+        s_inv = np.linalg.inv(s)
+        s_inv = 0.5 * (s_inv + s_inv.T)
+        dense = [a.toarray() if sp.issparse(a) else np.asarray(a) for a, _ in problem.constraints]
+        # B_ij = tr(A_i X A_j S^-1) = sum(A_i * (X A_j S^-1)^T)
+        prods = np.array([(x @ a @ s_inv).T.ravel() for a in dense])
+        oracle = np.array([a.ravel() for a in dense]) @ prods.T
+        schur = _schur_complement(problem, x, s_inv)
+        assert schur.shape == (m, m)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(schur - oracle)) <= 1e-13 * scale
+        assert np.array_equal(schur, loop_schur(problem, x, s_inv))
+
+    def test_groups_partition_the_constraints(self, problems):
+        for problem in problems.values():
+            js = np.concatenate([group[0] for group in problem._groups])
+            assert np.array_equal(np.sort(js), np.arange(len(problem.constraints)))
+            for _, rr, cc, vv in problem._groups:
+                assert rr.shape == cc.shape == vv.shape
+        sizes = [group[1].shape[1] for group in problems["eq"]._groups]
+        assert sizes == [2, 3, 4, 6, 10, 12, 14]
+        assert [group[1].shape[1] for group in problems["gram"]._groups] == [1]
+
+
+class TestMaxStep:
+    def test_matches_generalized_eigenvalues(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 5, 38):
+            m = random_spd(rng, n)
+            dm = rng.normal(size=(n, n))
+            dm = dm + dm.T - 2 * n * np.eye(n)  # some direction leaves the cone
+            lam_min = scipy.linalg.eigh(dm, m, eigvals_only=True)[0]
+            assert lam_min < 0
+            step = _max_step(np.linalg.cholesky(m), dm)
+            assert abs(step - (-1.0 / lam_min)) <= 1e-10 * step
+
+    def test_psd_direction_has_no_limit(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 3, 38):
+            m = random_spd(rng, n)
+            assert _max_step(np.linalg.cholesky(m), random_spd(rng, n)) == np.inf
+            assert _max_step(np.linalg.cholesky(m), np.zeros((n, n))) == np.inf
