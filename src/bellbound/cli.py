@@ -13,8 +13,9 @@ CSV/JSON.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure.  Grid sweeps compute one point at a time, in grid order, and stop
 at the first point that fails.  ``--config FILE`` supplies defaults from a
 JSON object keyed by option name (``state_file``, ``grid``, ``json``, ...);
-flags win.  Importing the package pins OpenBLAS to one thread unless
-OPENBLAS_NUM_THREADS is set (see bellbound.linalg).
+flags win, and a key that no subcommand declares exits 2.  Importing the
+package pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set
+(see bellbound.linalg).
 """
 
 from __future__ import annotations
@@ -232,11 +233,9 @@ def cmd_randomness(args: argparse.Namespace) -> int:
     params = np.linspace(start, stop, steps)
 
     points, failure = _curve(args, family, expr, params)
-    rows = [npa.CURVE_CSV_HEADER]
-    rows += [npa.curve_csv_row(float(p), pt) for p, pt in zip(params, points)]
+    text = npa.curve_csv(params, points)
     if failure is not None:
-        rows.append("# truncated")
-    text = "\n".join(rows) + "\n"
+        text += "# truncated\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -309,7 +308,9 @@ def _read_config(path: str) -> dict:
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The ``bellbound`` parser; ``defaults`` (from ``--config``) replace
-    the built-in defaults of every subcommand."""
+    the built-in defaults of every subcommand.  A key that no subcommand
+    declares is an error; one declared by another subcommand is ignored,
+    so one config file can serve several commands."""
     parser = argparse.ArgumentParser(
         prog="bellbound",
         description="Bell-violation bounds and device-independent randomness",
@@ -352,8 +353,13 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     command("gram-demo", "Gram-matrix SDP demonstration")
 
     # After every argument exists: set_defaults only reaches declared ones.
+    defaults = defaults or {}
+    declared = {a.dest for p in sub.choices.values() for a in p._actions}
+    unknown = sorted(set(defaults) - declared)
+    if unknown:
+        raise BellboundError(f"unknown option(s) in config: {', '.join(unknown)}")
     for subparser in sub.choices.values():
-        subparser.set_defaults(**(defaults or {}))
+        subparser.set_defaults(**defaults)
     return parser
 
 

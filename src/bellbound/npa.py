@@ -341,7 +341,6 @@ def _reduced_sdp(ms: MomentStructure, objective, bell=None, mode: str = "eq"):
         n=n,
         c=cols[:, identity].toarray().reshape(n, n),
         constraints=constraints,
-        sense="min",
     )
     return _ReducedSdp(problem=problem, const=h_const + h[identity], **extra)
 

@@ -1,8 +1,8 @@
 """
 Dense standard-form semidefinite programming:
 
-    minimize / maximize   tr(C X)
-    subject to            tr(A_i X) = b_i,   X >= 0 (PSD)
+    minimize     tr(C X)
+    subject to   tr(A_i X) = b_i,   X >= 0 (PSD)
 
 solved by an infeasible-start primal-dual path-following method with
 Mehrotra predictor-corrector steps and the HKM scaling direction.  Newton
@@ -18,8 +18,9 @@ B = A K^T with A the flattened CSR constraint operator.  The constraints
 are batched by nonzero count when the problem is made, so K is filled by
 one stacked matrix product per group rather than one product per
 constraint.  No other sparsity is exploited; the moment matrices this
-package produces stay well under 50 x 50.  Each iterate's X and S are
-factored once, and the factors serve the step-length searches too.
+package produces stay well under 50 x 50.  X and S are factored in one
+place, the step search that backtracks until the next iterate factors;
+that factor serves the next iterate's S^-1 and step-length searches.
 
 Also provided: the 4x4 Gram-matrix problem over unit-diagonal PSD
 matrices whose optimum -2 pins the inner-product sum of the four optimal
@@ -29,7 +30,6 @@ Bob vectors, and the matching dual feasibility certificate.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +52,8 @@ def _checked_objective(c, n: int) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (n, n):
         raise ValueError("objective matrix shape mismatch")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("objective matrix must be finite")
     if np.max(np.abs(c - c.T)) > 1e-12:
         raise ValueError("objective matrix is not symmetric")
     return c
@@ -69,14 +71,11 @@ class SdpProblem:
     n: int
     c: np.ndarray
     constraints: tuple  # ((A_i, b_i), ...)
-    sense: str = "min"
     _amat: sp.csr_matrix = field(init=False, repr=False)
     _groups: tuple = field(init=False, repr=False)
     _b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         self.c = _checked_objective(self.c, self.n)
         self.constraints = tuple(self.constraints)
         if not self.constraints:
@@ -101,32 +100,6 @@ class SdpProblem:
         other.c = _checked_objective(c, self.n)
         return other
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "C": self.c.tolist(),
-                "constraints": [
-                    {"A": (a.toarray() if sp.issparse(a) else a).tolist(), "b": float(b)}
-                    for a, b in self.constraints
-                ],
-                "sense": self.sense,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SdpProblem":
-        payload = json.loads(text)
-        return cls(
-            n=payload["n"],
-            c=np.array(payload["C"], dtype=float),
-            constraints=[
-                (np.array(entry["A"], dtype=float), float(entry["b"]))
-                for entry in payload["constraints"]
-            ],
-            sense=payload["sense"],
-        )
-
 
 @dataclass(eq=False)
 class SdpSolution:
@@ -149,9 +122,8 @@ def _flatten_constraints(constraints, n):
 
     Each group is (js, R, C, V): the constraint indices js and, stacked one
     row per constraint, the row indices, column indices and values of its
-    nonzeros, in the order the constraint matrix lists them."""
+    nonzeros, read off the operator's CSR rows in row-major order."""
     rows_idx, flat_idx, data = [], [], []
-    triplets = []
     b = np.empty(len(constraints))
     for i, (a, bi) in enumerate(constraints):
         b[i] = bi
@@ -163,7 +135,6 @@ def _flatten_constraints(constraints, n):
         else:
             r, c = np.nonzero(a)
             v = np.asarray(a)[r, c]
-        triplets.append((r.astype(np.intp), c.astype(np.intp), v.astype(float)))
         rows_idx.append(np.full(r.size, i))
         flat_idx.append(r * n + c)
         data.append(v)
@@ -171,25 +142,14 @@ def _flatten_constraints(constraints, n):
         (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(flat_idx))),
         shape=(len(constraints), n * n),
     )
-    sizes = np.array([r.size for r, _, _ in triplets])
+    sizes = np.diff(amat.indptr)
     groups = []
     for k in np.unique(sizes):
         js = np.flatnonzero(sizes == k)
-        rr, cc, vv = (np.stack(part) for part in zip(*(triplets[j] for j in js)))
-        groups.append((js, rr, cc, vv))
+        at = amat.indptr[js][:, None] + np.arange(k)
+        flat = amat.indices[at]
+        groups.append((js, flat // n, flat % n, amat.data[at]))
     return amat, tuple(groups), b
-
-
-class _IterateBreakdown(Exception):
-    """An iterate lost numerical positive definiteness; stop iterating."""
-
-
-def _chol_interior(m: np.ndarray) -> np.ndarray:
-    # No pivot floor here: late iterates are legitimately ill-conditioned.
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise _IterateBreakdown(str(exc)) from exc
 
 
 def _max_step(ell: np.ndarray, dm: np.ndarray) -> float:
@@ -208,9 +168,10 @@ def _schur_complement(problem: SdpProblem, x: np.ndarray, s_inv: np.ndarray) -> 
 
     Row j of kmat is vec(X A_j S^-1), the sum over the nonzeros (r, c, v)
     of A_j of v X[:, r] (x) S^-1[c, :]; each group of constraints with the
-    same nonzero count is one batched product.  Each constraint keeps its
-    nonzeros in their listed order, so the sums are those of a loop over
-    the constraints one at a time; the tests compare the two bit for bit."""
+    same nonzero count is one batched product.  Each constraint's nonzeros
+    are summed in row-major order, the order ``np.nonzero`` and canonical
+    CSR list them, so the sums are those of a loop over the constraints one
+    at a time; the tests compare the two bit for bit."""
     n = problem.n
     kmat = np.empty((len(problem.constraints), n * n))
     xt = x.T
@@ -222,41 +183,43 @@ def _schur_complement(problem: SdpProblem, x: np.ndarray, s_inv: np.ndarray) -> 
     return 0.5 * (schur + schur.T)
 
 
-def _safe_step(m: np.ndarray, dm: np.ndarray, alpha: float) -> float:
-    """Shrink alpha until m + alpha*dm actually factors."""
+def _step(m: np.ndarray, ell: np.ndarray, dm: np.ndarray, alpha: float):
+    """Shrink alpha until the symmetrized m + alpha*dm factors.
+
+    Returns (alpha, next iterate, its lower Cholesky factor), or
+    (0, m, ell) when alpha falls below 1e-12.  No pivot floor here: late
+    iterates are legitimately ill-conditioned."""
     for _ in range(40):
         if alpha < 1e-12:
-            return 0.0
+            break
         cand = m + alpha * dm
+        cand = 0.5 * (cand + cand.T)
         try:
-            np.linalg.cholesky(0.5 * (cand + cand.T))
-            return alpha
+            return alpha, cand, np.linalg.cholesky(cand)
         except np.linalg.LinAlgError:
             alpha *= 0.5
-    return 0.0
+    return 0.0, m, ell
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration to the 1e-8 relative tolerances.
 
-    Returns a solution whose ``status`` is ``optimal`` when all stopping
-    criteria were met, ``max_iterations`` when the iteration cap was hit
-    (the best iterate is still returned with its achieved residuals), or
-    ``numerical_failure`` when a Newton system lost definiteness
-    irrecoverably.
+    ``status`` is ``optimal`` when every stopping criterion was met,
+    ``numerical_failure`` when the Schur matrix would not factor, and
+    otherwise ``max_iterations`` (cap, stall or mu below 1e-14, returning
+    the last iterate).  An iterate that diverges or leaves the cone is
+    replaced by the most balanced one seen, recorded once more, with status
+    ``max_iterations`` if that one was within 1e-5, else ``numerical_failure``.
     """
     n = problem.n
-    maximize = problem.sense == "max"
-    c_int = -problem.c if maximize else problem.c
-    c_int = 0.5 * (c_int + c_int.T)
+    c_int = 0.5 * (problem.c + problem.c.T)
     amat, b = problem._amat, problem._b
     amat_t = amat.T
     m = len(problem.constraints)
 
-    norm_c = float(np.linalg.norm(c_int))
-    tau = max(1.0, norm_c, float(np.max(np.abs(b))))
-    x = tau * np.eye(n)
-    s = tau * np.eye(n)
+    tau = max(1.0, float(np.linalg.norm(c_int)), float(np.max(np.abs(b))))
+    x = s = tau * np.eye(n)
+    ell_x = ell_s = np.linalg.cholesky(x)
     y = np.zeros(m)
     eye = np.eye(n)
     eye_m = np.eye(m)
@@ -264,19 +227,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
     history: list[dict] = []
     status = MAX_ITERATIONS
     iterations = 0
-    pres = dres = np.inf
     best = [np.inf, np.inf, np.inf]  # rel_gap, pres, dres
     prev_objs = (np.inf, np.inf)
     since_progress = 0
     best_worst = np.inf
-    best_iterate = (x.copy(), y.copy(), s.copy())
-    broke_down = False
+    best_iterate = (x, y, s)
 
     def record():
-        pobj_int = float(np.sum(c_int * x))
-        dobj_int = float(b @ y)
-        pobj = -pobj_int if maximize else pobj_int
-        dobj = -dobj_int if maximize else dobj_int
+        pobj = float(np.sum(c_int * x))
+        dobj = float(b @ y)
         rp = b - amat @ x.ravel()
         rd = c_int - s - (amat_t @ y).reshape(n, n)
         pr = float(np.max(np.abs(rp))) / (1.0 + float(np.max(np.abs(b))))
@@ -291,18 +250,22 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 "dual_residual": dr,
             }
         )
-        return pobj, dobj, rp, rd, pr, dr, mu
+        return pobj, dobj, rd, pr, dr, mu
 
     for iterations in range(_MAX_ITER + 1):
-        pobj, dobj, rp, rd, pres, dres, mu = record()
-        if not (np.isfinite(pobj) and np.isfinite(mu) and np.isfinite(pres)) or mu < 0:
-            broke_down = True  # iterate diverged; fall back to the best one
+        pobj, dobj, rd, pres, dres, mu = record()
+        if not np.all(np.isfinite([pobj, dobj, mu, pres, dres])) or mu < 0:
+            # The iterate diverged or left the cone; fall back to the most
+            # balanced iterate seen.
+            x, y, s = best_iterate
+            record()
+            status = MAX_ITERATIONS if best_worst <= 1e-5 else NUMERICAL_FAILURE
             break
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         worst = max(rel_gap, pres, dres)
         if worst < best_worst:
             best_worst = worst
-            best_iterate = (x.copy(), y.copy(), s.copy())
+            best_iterate = (x, y, s)
         if rel_gap <= _GAP_TOL and pres <= _FEAS_TOL and dres <= _FEAS_TOL:
             status = OPTIMAL
             break
@@ -321,105 +284,85 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if iterations == _MAX_ITER or mu < 1e-14 or since_progress > 20:
             break
 
-        try:
-            ell_s = _chol_interior(s)
-            s_inv = solve_cholesky(ell_s, eye)
-            s_inv = 0.5 * (s_inv + s_inv.T)
+        s_inv = solve_cholesky(ell_s, eye)
+        s_inv = 0.5 * (s_inv + s_inv.T)
 
-            schur = _schur_complement(problem, x, s_inv)
+        schur = _schur_complement(problem, x, s_inv)
 
-            # Jacobi-scaled Cholesky with escalating regularization; the raw
-            # Schur matrix mixes rows of very different magnitudes.
-            diag_scale = np.sqrt(np.clip(np.diag(schur), 1e-300, None))
-            scaled = schur / diag_scale[:, None] / diag_scale[None, :]
-            ell_b = None
-            reg = 1e-14
-            for attempt in range(6):
-                try:
-                    ell_b = cholesky_spd(scaled + reg * eye_m)
-                    break
-                except NotPositiveDefinite:
-                    reg *= 1e3
-            if ell_b is None:
-                status = NUMERICAL_FAILURE
+        # Jacobi-scaled Cholesky with escalating regularization; the raw
+        # Schur matrix mixes rows of very different magnitudes.
+        diag_scale = np.sqrt(np.clip(np.diag(schur), 1e-300, None))
+        scaled = schur / diag_scale[:, None] / diag_scale[None, :]
+        ell_b = None
+        reg = 1e-14
+        for attempt in range(6):
+            try:
+                ell_b = cholesky_spd(scaled + reg * eye_m)
                 break
-
-            def newton_solve(rhs):
-                dy = solve_cholesky(ell_b, rhs / diag_scale) / diag_scale
-                for _ in range(2):  # refinement against the unscaled system
-                    dy += (
-                        solve_cholesky(ell_b, (rhs - schur @ dy) / diag_scale)
-                        / diag_scale
-                    )
-                return dy
-
-            x_rd_sinv = x @ rd @ s_inv
-
-            # Predictor (affine scaling, target 0).
-            rhs_aff = b + amat @ x_rd_sinv.ravel()
-            dy_a = newton_solve(rhs_aff)
-            ds_a = rd - (amat_t @ dy_a).reshape(n, n)
-            ds_a = 0.5 * (ds_a + ds_a.T)
-            dx_a = -x - x @ ds_a @ s_inv
-            dx_a = 0.5 * (dx_a + dx_a.T)
-
-            ell_x = _chol_interior(x)
-            alpha_p = min(1.0, _max_step(ell_x, dx_a))
-            alpha_d = min(1.0, _max_step(ell_s, ds_a))
-            mu_aff = max(
-                0.0,
-                float(np.sum((x + alpha_p * dx_a) * (s + alpha_d * ds_a))) / n,
-            )
-            sigma = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3))
-            nu = sigma * mu
-
-            # Corrector with second-order term dX_a dS_a.
-            cross = dx_a @ ds_a @ s_inv
-            rhs = (
-                b
-                - nu * (amat @ s_inv.ravel())
-                + amat @ x_rd_sinv.ravel()
-                + amat @ cross.ravel()
-            )
-            dy = newton_solve(rhs)
-            ds = rd - (amat_t @ dy).reshape(n, n)
-            ds = 0.5 * (ds + ds.T)
-            dx = nu * s_inv - x - (x @ ds + dx_a @ ds_a) @ s_inv
-            dx = 0.5 * (dx + dx.T)
-
-            alpha_p = min(1.0, _STEP_FRACTION * _max_step(ell_x, dx))
-            alpha_d = min(1.0, _STEP_FRACTION * _max_step(ell_s, ds))
-        except _IterateBreakdown:
-            broke_down = True  # cannot factor the current iterate any further
+            except NotPositiveDefinite:
+                reg *= 1e3
+        if ell_b is None:
+            status = NUMERICAL_FAILURE
             break
+
+        def newton_solve(rhs):
+            dy = solve_cholesky(ell_b, rhs / diag_scale) / diag_scale
+            for _ in range(2):  # refinement against the unscaled system
+                dy += (
+                    solve_cholesky(ell_b, (rhs - schur @ dy) / diag_scale)
+                    / diag_scale
+                )
+            return dy
+
+        x_rd_sinv = x @ rd @ s_inv
+
+        # Predictor (affine scaling, target 0).
+        rhs_aff = b + amat @ x_rd_sinv.ravel()
+        dy_a = newton_solve(rhs_aff)
+        ds_a = rd - (amat_t @ dy_a).reshape(n, n)
+        ds_a = 0.5 * (ds_a + ds_a.T)
+        dx_a = -x - x @ ds_a @ s_inv
+        dx_a = 0.5 * (dx_a + dx_a.T)
+
+        alpha_p = min(1.0, _max_step(ell_x, dx_a))
+        alpha_d = min(1.0, _max_step(ell_s, ds_a))
+        mu_aff = max(
+            0.0,
+            float(np.sum((x + alpha_p * dx_a) * (s + alpha_d * ds_a))) / n,
+        )
+        sigma = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3))
+        nu = sigma * mu
+
+        # Corrector with second-order term dX_a dS_a.
+        cross = dx_a @ ds_a @ s_inv
+        rhs = (
+            b
+            - nu * (amat @ s_inv.ravel())
+            + amat @ x_rd_sinv.ravel()
+            + amat @ cross.ravel()
+        )
+        dy = newton_solve(rhs)
+        ds = rd - (amat_t @ dy).reshape(n, n)
+        ds = 0.5 * (ds + ds.T)
+        dx = nu * s_inv - x - (x @ ds + dx_a @ ds_a) @ s_inv
+        dx = 0.5 * (dx + dx.T)
+
+        alpha_p = min(1.0, _STEP_FRACTION * _max_step(ell_x, dx))
+        alpha_d = min(1.0, _STEP_FRACTION * _max_step(ell_s, ds))
 
         # Roundoff near a degenerate face can make the nominal step leave
         # the cone; backtrack until both updates factor.
-        alpha_p = _safe_step(x, dx, alpha_p)
-        alpha_d = _safe_step(s, ds, alpha_d)
+        alpha_p, x_next, ell_x_next = _step(x, ell_x, dx, alpha_p)
+        alpha_d, s_next, ell_s_next = _step(s, ell_s, ds, alpha_d)
         if max(alpha_p, alpha_d) < 1e-9:
             break  # stalled; keep the best-effort iterate
-
-        x = 0.5 * ((x + alpha_p * dx) + (x + alpha_p * dx).T)
-        s = 0.5 * ((s + alpha_d * ds) + (s + alpha_d * ds).T)
+        x, ell_x, s, ell_s = x_next, ell_x_next, s_next, ell_s_next
         y = y + alpha_d * dy
 
-    if status != OPTIMAL:
-        last = history[-1]
-        finite = all(np.isfinite(v) for v in last.values())
-        if not finite or last["mu"] < 0:
-            # The iterate diverged or left the cone; fall back to the most
-            # balanced iterate seen.
-            x, y, s = best_iterate
-            record()
-        if broke_down:
-            status = MAX_ITERATIONS if best_worst <= 1e-5 else NUMERICAL_FAILURE
-
     final = history[-1]
-    y_report = -y if maximize else y
     return SdpSolution(
         x=x,
-        y=y_report,
+        y=y,
         s=s,
         primal_obj=final["primal_obj"],
         dual_obj=final["dual_obj"],
@@ -445,7 +388,7 @@ def gram_problem() -> SdpProblem:
         a = np.zeros((4, 4))
         a[i, i] = 1.0
         constraints.append((a, 1.0))
-    return SdpProblem(n=4, c=0.5 * w, constraints=constraints, sense="min")
+    return SdpProblem(n=4, c=0.5 * w, constraints=constraints)
 
 
 def dual_certificate_check(v: np.ndarray) -> tuple[float, bool]:

@@ -321,6 +321,21 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out) == {"classical_bound": 6.0}
 
+    def test_unknown_config_keys_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sede": 3, "jsn": True}))
+        code, out, err = run(capsys, "--config", str(config), "bound", "--state", "singlet")
+        assert code == 2 and out == ""
+        assert "configuration error: unknown option(s) in config: jsn, sede" in err
+
+    def test_keys_of_other_subcommands_are_kept(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"state": "singlet", "seed": 3, "grid": "0.9:1:2",
+                                      "level": "1", "json": True}))
+        code, out, _ = run(capsys, "--config", str(config), "bound")
+        assert code == 0
+        assert abs(json.loads(out)["tight_bound"] - 4 * np.sqrt(3)) < 1e-9
+
     def test_missing_config_exits_2(self, capsys):
         code, _, _ = run(capsys, "--config", "/nonexistent.json", "gram-demo")
         assert code == 2
