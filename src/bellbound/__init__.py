@@ -23,7 +23,6 @@ from .bell import (
 from .npa import (
     MomentStructure,
     RandomnessPoint,
-    Scenario,
     build_moment_structure,
     entropy_crossover,
     max_guessing_probability,

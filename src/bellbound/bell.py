@@ -36,7 +36,6 @@ from .errors import (
     OutOfRange,
     TooManySettings,
 )
-from .linalg import svd3
 from .states import (
     ID2,
     PAULI,
@@ -238,26 +237,27 @@ def expectation(
     return value
 
 
+def _obs(v: np.ndarray) -> np.ndarray:
+    """Dichotomic qubit observable v.sigma."""
+    return v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]
+
+
 def bell_operator(expr: BellExpression, strategy: MeasurementStrategy) -> np.ndarray:
     """4x4 operator sum_kl c_kl (a_k.sigma)(x)(b_l.sigma) plus marginal terms."""
     _check_shapes(expr, strategy)
-
-    def obs(v):
-        return v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]
-
     op = np.zeros((4, 4), dtype=complex)
     for k in range(expr.alice_settings):
         for l in range(expr.bob_settings):
             if expr.coeffs[k, l] != 0.0:
                 op += expr.coeffs[k, l] * np.kron(
-                    obs(strategy.alice[k]), obs(strategy.bob[l])
+                    _obs(strategy.alice[k]), _obs(strategy.bob[l])
                 )
     for k in range(expr.alice_settings):
         if expr.alice_marginals[k] != 0.0:
-            op += expr.alice_marginals[k] * np.kron(obs(strategy.alice[k]), ID2)
+            op += expr.alice_marginals[k] * np.kron(_obs(strategy.alice[k]), ID2)
     for l in range(expr.bob_settings):
         if expr.bob_marginals[l] != 0.0:
-            op += expr.bob_marginals[l] * np.kron(ID2, obs(strategy.bob[l]))
+            op += expr.bob_marginals[l] * np.kron(ID2, _obs(strategy.bob[l]))
     return op
 
 
@@ -268,10 +268,13 @@ def operator_expectation(
     return float(np.real(np.trace(state.rho @ bell_operator(expr, strategy))))
 
 
+def _tight_value(lam: np.ndarray) -> float:
+    return 4.0 * float(np.sqrt(np.sum(lam**2)))
+
+
 def tight_bound(state: TwoQubitState) -> float:
     """4*sqrt(l1^2+l2^2+l3^2) from the correlation-matrix singular values."""
-    sv = svd3(correlation_data(state).t).singular_values
-    return 4.0 * float(np.sqrt(np.sum(sv**2)))
+    return _tight_value(np.linalg.svd(correlation_data(state).t)[1])
 
 
 def optimal_measurements(state: TwoQubitState) -> MeasurementStrategy:
@@ -282,16 +285,19 @@ def optimal_measurements(state: TwoQubitState) -> MeasurementStrategy:
     are the normalized images under T of the three signed Bob combinations.
     Where such an image vanishes (zero singular value), the corresponding
     left singular direction is substituted, which leaves the achieved value
-    unchanged.
+    unchanged.  The first nonzero component of each right singular vector
+    is made nonnegative, so the output is reproducible across platforms.
     """
     cd = correlation_data(state)
-    dec = svd3(cd.t)
-    lam = dec.singular_values
+    u, lam, vt = np.linalg.svd(cd.t)
+    first = np.argmax(np.abs(vt) > 1e-12, axis=1)
+    signs = np.where(vt[np.arange(3), first] < 0.0, -1.0, 1.0)
+    left, right = u * signs, vt.T * signs
     norm = float(np.linalg.norm(lam))
     if norm < 1e-12:
         raise DegenerateState("all singular values vanish; no direction defined")
 
-    bob = (_BOB_SIGNS * lam) @ dec.right_vectors.T / norm
+    bob = (_BOB_SIGNS * lam) @ right.T / norm
     bob /= np.linalg.norm(bob, axis=1, keepdims=True)
 
     signs = ebi().coeffs  # rows give b1+b2-b3-b4 and friends
@@ -302,7 +308,7 @@ def optimal_measurements(state: TwoQubitState) -> MeasurementStrategy:
         if length > 1e-12:
             alice[k] = image / length
         else:
-            alice[k] = dec.left_vectors[:, k]
+            alice[k] = left[:, k]
     return MeasurementStrategy(alice=alice, bob=bob)
 
 
@@ -319,7 +325,7 @@ def tightness_check(
     expr = ebi()
     _check_shapes(expr, strategy)
     cd = correlation_data(state)
-    lam = svd3(cd.t).singular_values
+    lam = np.linalg.svd(cd.t)[1]
 
     combos = expr.coeffs @ strategy.bob  # (3, 3), rows b1+b2-b3-b4 etc.
     lengths = np.linalg.norm(combos, axis=1)
@@ -349,7 +355,7 @@ def tightness_check(
         elif lam[k] > EPS_TIGHT * scale:
             aligned = False  # a direction is required here but the image vanishes
 
-    gap = tight_bound(state) - abs(expectation(state, expr, strategy))
+    gap = _tight_value(lam) - abs(expectation(state, expr, strategy))
     return TightnessReport(
         proportionality_ok=proportional,
         gram_sum=gram_sum,
@@ -392,7 +398,7 @@ def behavior_from(state: TwoQubitState, strategy: MeasurementStrategy) -> Behavi
     l = strategy.bob.shape[0]
 
     def projectors(v):
-        obs = v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]
+        obs = _obs(v)
         return (ID2 + obs) / 2.0, (ID2 - obs) / 2.0
 
     table = np.zeros((k, l, 2, 2))
@@ -495,7 +501,8 @@ def violation_threshold(
     family: str, expr: BellExpression, tol: float = 1e-6
 ) -> float:
     """Smallest family parameter whose maximal violation reaches the
-    classical bound, by bisection on the monotone family."""
+    classical bound, by bisection on the monotone family.  The bisection
+    stops at ``tol`` or once the bracket has no float strictly inside."""
     lo, hi = family_domain(family)
     bound = classical_bound(expr)
 
@@ -506,10 +513,11 @@ def violation_threshold(
         raise NoCrossing(f"{expr.name} is never violated on family {family!r}")
     if gap(lo) >= -1e-9:
         return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
         if gap(mid) >= 0.0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

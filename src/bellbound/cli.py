@@ -29,7 +29,6 @@ import numpy as np
 
 from . import bell, npa, sdp, states
 from .errors import BellboundError, InfeasibleValue, NotPositiveDefinite, SolverError
-from .linalg import svd3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,14 +72,13 @@ def _resolve_state(args: argparse.Namespace) -> states.TwoQubitState:
     if args.state_file:
         with open(args.state_file) as fh:
             return states.TwoQubitState.from_json(fh.read())
-    if args.state == "pure":
-        if args.theta is None:
-            raise BellboundError("--state pure requires --theta")
-        return states.pure_state(_clamp(args.theta, 0.0, np.pi / 4))
-    if args.state == "werner":
-        if args.p is None:
-            raise BellboundError("--state werner requires --p")
-        return states.werner_state(_clamp(args.p, 0.0, 1.0))
+    if args.state in _FAMILIES:
+        flag = "theta" if args.state == "pure" else "p"
+        value = getattr(args, flag)
+        if value is None:
+            raise BellboundError(f"--state {args.state} requires --{flag}")
+        family = _FAMILIES[args.state]
+        return bell.family_state(family, _clamp(value, *bell.family_domain(family)))
     if args.state == "singlet":
         return states.singlet()
     raise BellboundError(f"unknown state {args.state!r}")
@@ -92,7 +90,7 @@ def _resolve_expr(name: str | None, n: int) -> bell.BellExpression:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     state = _resolve_state(args)
-    sv = svd3(states.correlation_data(state).t).singular_values
+    sv = np.linalg.svd(states.correlation_data(state).t)[1]
     tight = bell.tight_bound(state)
     cb = bell.classical_bound(bell.ebi())
     violated = tight > cb + 1e-12
@@ -332,7 +330,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     expr.add_argument("--n", type=int, default=3)
 
     level = argparse.ArgumentParser(add_help=False)
-    level.add_argument("--level", choices=["1", "1+AB", "2"], default="2")
+    level.add_argument("--level", choices=npa.LEVELS, default="2")
 
     def command(name, summary, *parents):
         return sub.add_parser(name, help=summary, parents=[*parents, common])

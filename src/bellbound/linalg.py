@@ -1,7 +1,7 @@
 """
-Dense linear-algebra kernels used by every other module: a Hermitian
-check, a 3x3 SVD (LAPACK) with a deterministic sign convention, and
-triangular and symmetric positive-definite solves on Cholesky factors.
+Dense linear-algebra kernels shared by the other modules: a Hermitian
+check, a Cholesky factorization with a pivot floor, and triangular and
+symmetric positive-definite solves on Cholesky factors.
 
 All routines are pure functions of plain numpy arrays (complex128 for
 operator algebra, float64 for correlation matrices) and are safe to share
@@ -18,7 +18,6 @@ from __future__ import annotations
 import ctypes
 import importlib
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -56,42 +55,8 @@ def _pin_openblas() -> None:
 _pin_openblas()
 
 
-@dataclass(frozen=True)
-class SvdResult3:
-    """SVD of a real 3x3 matrix: t = u @ diag(singular_values) @ v.T.
-
-    Singular values are sorted descending; the columns of ``u`` and ``v``
-    are orthonormal.  The first nonzero component of every right singular
-    vector is made nonnegative so the output is reproducible across
-    platforms.
-    """
-
-    singular_values: np.ndarray  # (3,), descending, >= 0
-    left_vectors: np.ndarray     # (3, 3), columns u_i
-    right_vectors: np.ndarray    # (3, 3), columns v_i
-
-
 def is_hermitian(m: np.ndarray, tol: float = EPS_HERM) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def svd3(t: np.ndarray) -> SvdResult3:
-    """Singular value decomposition of a real 3x3 matrix (LAPACK).
-
-    Degenerate and zero matrices still yield orthonormal bases; the sign
-    convention of :class:`SvdResult3` fixes the remaining freedom.
-    """
-    t = np.array(t, dtype=float)
-    if t.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("matrix entries must be finite")
-    u, sigma, vt = np.linalg.svd(t)
-    v = vt.T
-    # Sign convention: first nonzero component of each right vector >= 0.
-    first = np.argmax(np.abs(v) > 1e-12, axis=0)
-    signs = np.where(v[first, np.arange(3)] < 0.0, -1.0, 1.0)
-    return SvdResult3(singular_values=sigma, left_vectors=u * signs, right_vectors=v * signs)
 
 
 def cholesky_spd(a: np.ndarray) -> np.ndarray:

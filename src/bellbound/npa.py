@@ -13,7 +13,9 @@ randomness -log2 p*.
 Both problems use one reduced formulation: the moments of the entry
 classes are the variables, M(z) = z[entry_class], and every constraint
 matrix is a sparse combination of columns of one class-indicator operator
-per moment structure (see :func:`_reduced_sdp`).
+per moment structure (see :func:`_reduced_sdp`).  Every basis starts with
+1, P_0..P_{k-1}, Q_0..Q_{l-1}, so the classes of the first-order moments
+<P_x>, <Q_y> and <P_x Q_y> are read straight off ``entry_class``.
 
 Observables are encoded as A = 2 P - I, so correlators expand as
 <A_x B_y> = 4 <P_x Q_y> - 2 <P_x> - 2 <Q_y> + 1, and outcome
@@ -39,18 +41,6 @@ LEVELS = ("1", "1+AB", "2")
 # Accuracy an SDP solve must reach before its value is trusted here.
 _ACCEPT_GAP = 1e-6
 _ACCEPT_RES = 1e-6
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Numbers of dichotomic settings per party."""
-
-    alice_settings: int
-    bob_settings: int
-
-    def __post_init__(self):
-        if self.alice_settings < 1 or self.bob_settings < 1:
-            raise OutOfRange("each party needs at least one setting")
 
 
 @dataclass(frozen=True)
@@ -85,21 +75,11 @@ def _moment_key(alice: tuple[int, ...], bob: tuple[int, ...]):
 class MomentStructure:
     """Indexed monomial basis and entry-equivalence classes of one level."""
 
-    scenario: Scenario
-    level: str
     monomials: tuple[Monomial, ...]
     size: int
     entry_class: np.ndarray        # (size, size) class index per entry
     class_count: int
     class_indicator: sp.csc_matrix  # (size**2, class_count) 0/1, column c = class c
-    _key_to_class: dict
-
-    def moment_class(self, alice: tuple[int, ...], bob: tuple[int, ...]) -> int:
-        key = _moment_key(_collapse(alice), _collapse(bob))
-        try:
-            return self._key_to_class[key]
-        except KeyError:
-            raise ValueError(f"moment {key} is not represented at level {self.level}")
 
 
 def _normalize_level(level) -> str:
@@ -109,8 +89,7 @@ def _normalize_level(level) -> str:
     return text
 
 
-def _monomial_list(scenario: Scenario, level: str) -> list[Monomial]:
-    k, l = scenario.alice_settings, scenario.bob_settings
+def _monomial_list(k: int, l: int, level: str) -> list[Monomial]:
     words = [Monomial((), ())]
     words += [Monomial((x,), ()) for x in range(k)]
     words += [Monomial((), (y,)) for y in range(l)]
@@ -134,8 +113,9 @@ def _monomial_list(scenario: Scenario, level: str) -> list[Monomial]:
 
 @lru_cache(maxsize=None)
 def _structure_cached(k: int, l: int, level: str) -> MomentStructure:
-    scenario = Scenario(k, l)
-    monomials = _monomial_list(scenario, level)
+    if k < 1 or l < 1:
+        raise OutOfRange("each party needs at least one setting")
+    monomials = _monomial_list(k, l, level)
     size = len(monomials)
     entry_class = np.zeros((size, size), dtype=np.int64)
     key_to_class: dict = {}
@@ -152,8 +132,6 @@ def _structure_cached(k: int, l: int, level: str) -> MomentStructure:
             entry_class[i, j] = entry_class[j, i] = cid
     class_count = len(key_to_class)
     return MomentStructure(
-        scenario=scenario,
-        level=level,
         monomials=tuple(monomials),
         size=size,
         entry_class=entry_class,
@@ -162,18 +140,24 @@ def _structure_cached(k: int, l: int, level: str) -> MomentStructure:
             (np.ones(size * size), (np.arange(size * size), entry_class.ravel())),
             shape=(size * size, class_count),
         ),
-        _key_to_class=key_to_class,
     )
 
 
-def build_moment_structure(scenario: Scenario, level) -> MomentStructure:
-    return _structure_cached(
-        scenario.alice_settings, scenario.bob_settings, _normalize_level(level)
-    )
+def build_moment_structure(alice_settings: int, bob_settings: int, level):
+    return _structure_cached(alice_settings, bob_settings, _normalize_level(level))
+
+
+def _first_order_classes(ms: MomentStructure, expr: BellExpression):
+    """Classes of <P_x>, <Q_y> and <P_x Q_y> in the scenario of ``expr``:
+    entries (0, 1+x), (0, 1+k+y) and (1+x, 1+k+y) of ``entry_class``."""
+    k, l = expr.alice_settings, expr.bob_settings
+    ec = ms.entry_class
+    return ec[0, 1:1 + k], ec[0, 1 + k:1 + k + l], ec[1:1 + k, 1 + k:1 + k + l]
 
 
 def _bell_functional(ms: MomentStructure, expr: BellExpression):
     """Class vector g and constant with g . y + const = Bell value."""
+    alice, bob, joint = _first_order_classes(ms, expr)
     g = np.zeros(ms.class_count)
     const = 0.0
     for x in range(expr.alice_settings):
@@ -181,33 +165,43 @@ def _bell_functional(ms: MomentStructure, expr: BellExpression):
             c = float(expr.coeffs[x, y])
             if c == 0.0:
                 continue
-            g[ms.moment_class((x,), (y,))] += 4.0 * c
-            g[ms.moment_class((x,), ())] += -2.0 * c
-            g[ms.moment_class((), (y,))] += -2.0 * c
+            g[joint[x, y]] += 4.0 * c
+            g[alice[x]] += -2.0 * c
+            g[bob[y]] += -2.0 * c
             const += c
     for x in range(expr.alice_settings):
         c = float(expr.alice_marginals[x])
         if c != 0.0:
-            g[ms.moment_class((x,), ())] += 2.0 * c
+            g[alice[x]] += 2.0 * c
             const -= c
     for y in range(expr.bob_settings):
         c = float(expr.bob_marginals[y])
         if c != 0.0:
-            g[ms.moment_class((), (y,))] += 2.0 * c
+            g[bob[y]] += 2.0 * c
             const -= c
     return g, const
 
 
-def _prob_functional(ms: MomentStructure, x: int, y: int, a: int, b: int):
-    """p(ab|xy) as class vector plus constant.
+def _prob_functional(ms: MomentStructure, expr: BellExpression, x: int, y: int,
+                     a: int, b: int):
+    """p(ab|xy) in the scenario of ``expr`` as class vector plus constant.
 
     With s = 1 - 2 * outcome, p(ab|xy) = <(a + s_a P_x)(b + s_b Q_y)>."""
+    alice, bob, joint = _first_order_classes(ms, expr)
     s_a, s_b = 1 - 2 * a, 1 - 2 * b
     h = np.zeros(ms.class_count)
-    h[ms.moment_class((x,), (y,))] = s_a * s_b
-    h[ms.moment_class((x,), ())] = b * s_a
-    h[ms.moment_class((), (y,))] = a * s_b
+    h[joint[x, y]] = s_a * s_b
+    h[alice[x]] = b * s_a
+    h[bob[y]] = a * s_b
     return h, float(a * b)
+
+
+def _solver_error(sol: SdpSolution, what: str) -> SolverError:
+    return SolverError(
+        f"{what}: solver ended with status {sol.status} "
+        f"(gap {sol.gap:.2e}, residuals {sol.primal_residual:.2e}/"
+        f"{sol.dual_residual:.2e})"
+    )
 
 
 def _certified_upper_value(sol: SdpSolution, what: str) -> float:
@@ -220,11 +214,7 @@ def _certified_upper_value(sol: SdpSolution, what: str) -> float:
         and sol.dual_residual <= _ACCEPT_RES
     ):
         return sol.primal_obj
-    raise SolverError(
-        f"{what}: solver ended with status {sol.status} "
-        f"(gap {sol.gap:.2e}, residuals {sol.primal_residual:.2e}/"
-        f"{sol.dual_residual:.2e})"
-    )
+    raise _solver_error(sol, what)
 
 
 def _expr_cache_key(expr: BellExpression, level: str):
@@ -243,28 +233,24 @@ class _ReducedSdp:
     """A moment SDP in reduced form; see :func:`_reduced_sdp`.
 
     Its value is ``const`` plus the optimum of ``problem``.  With a Bell
-    constraint (``mode`` 'eq' or 'ge') only F0 and the constant term depend
-    on the Bell value: at value I they are ``problem.c + t * f0_step`` and
-    ``const + const_step * t``, with t the value of the eliminated class
-    (mode 'eq') or of the slack corner (mode 'ge'); :meth:`at` fills them
-    in.  ``problem`` carries the constraints, validated once, and the
-    identity-class indicator as its objective."""
+    constraint only F0 and the constant term depend on the Bell value: at
+    value I they are ``problem.c + t * f0_step`` and ``const + const_step * t``
+    with t = (I - bell_const) / t_scale, the value of the eliminated class
+    (mode 'eq', t_scale its Bell coefficient) or of the slack corner (mode
+    'ge', t_scale -1); :meth:`at` fills them in.  ``problem`` carries the
+    constraints, validated once, and the identity-class indicator as its
+    objective."""
 
     problem: SdpProblem
     const: float
-    mode: str | None = None
     f0_step: np.ndarray | None = None
     const_step: float = 0.0
-    bell_const: float = 0.0
-    g_identity: float = 0.0
-    g_beta: float = 0.0  # coefficient of the eliminated class; mode 'eq' only
+    bell_const: float = 0.0  # Bell value with every free moment at zero
+    t_scale: float = 1.0
 
     def at(self, bell_value: float) -> tuple[SdpProblem, float]:
         """The problem and its constant term at the given Bell value."""
-        if self.mode == "eq":
-            t = (bell_value - self.bell_const - self.g_identity) / self.g_beta
-        else:
-            t = self.bell_const + self.g_identity - bell_value
+        t = (bell_value - self.bell_const) / self.t_scale
         f0 = self.problem.c + t * self.f0_step
         return self.problem.with_objective(f0), self.const + self.const_step * t
 
@@ -297,8 +283,8 @@ def _reduced_sdp(ms: MomentStructure, objective, bell=None, mode: str = "eq"):
     if bell is None:
         f, w = cols[:, free], h[free]
     else:
-        g, bell_const = bell
-        extra = dict(mode=mode, bell_const=bell_const, g_identity=g[identity])
+        g, g_const = bell
+        extra = dict(bell_const=g_const + g[identity])
         if mode == "eq":
             # Eliminate one Bell-carrying class: y_beta = (target - sum g_c y_c)/g_beta.
             weights = np.abs(g)
@@ -312,7 +298,7 @@ def _reduced_sdp(ms: MomentStructure, objective, bell=None, mode: str = "eq"):
             extra.update(
                 f0_step=cols[:, beta].toarray().reshape(n, n),
                 const_step=h[beta],
-                g_beta=g[beta],
+                t_scale=g[beta],
             )
         else:
             # Slack block carries Bell(z) - I >= 0: entry r of the n x n
@@ -329,7 +315,7 @@ def _reduced_sdp(ms: MomentStructure, objective, bell=None, mode: str = "eq"):
             f, w = cols[:, free] + corner, h[free]
             f0_step = np.zeros((n, n))
             f0_step[-1, -1] = 1.0
-            extra.update(f0_step=f0_step)
+            extra.update(f0_step=f0_step, t_scale=-1.0)
     f = f.tocsc()
     constraints = []
     for i in range(f.shape[1]):
@@ -374,7 +360,7 @@ def _cached_guess_problem(expr: BellExpression, level: str, x: int, y: int,
     if guess is None:
         ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
         guess = _reduced_sdp(
-            ms, _prob_functional(ms, x, y, a, b), _bell_functional(ms, expr), mode
+            ms, _prob_functional(ms, expr, x, y, a, b), _bell_functional(ms, expr), mode
         )
         _guess_cache[key] = guess
     return guess
@@ -386,11 +372,13 @@ def _attained_side_value(sol: SdpSolution, what: str) -> float:
         sol.status == MAX_ITERATIONS and sol.dual_residual <= 1e-7
     ):
         return sol.dual_obj
-    raise SolverError(
-        f"{what}: solver ended with status {sol.status} "
-        f"(gap {sol.gap:.2e}, residuals {sol.primal_residual:.2e}/"
-        f"{sol.dual_residual:.2e})"
-    )
+    raise _solver_error(sol, what)
+
+
+def _check_input_pair(expr: BellExpression, input_pair: tuple[int, int]) -> None:
+    x, y = input_pair
+    if not (0 <= x < expr.alice_settings and 0 <= y < expr.bob_settings):
+        raise OutOfRange(f"input pair {input_pair} outside the scenario")
 
 
 def max_guessing_probability(
@@ -398,19 +386,14 @@ def max_guessing_probability(
     bell_value: float,
     input_pair: tuple[int, int] = (0, 0),
     level="2",
-    bell_constraint: str = "eq",
 ) -> float:
     """Largest p(ab|xy) over the relaxation at the given Bell value.
 
-    Solves one SDP per outcome pair (a, b) and returns the maximum.  The
-    Bell value enters as an equality (``bell_constraint='ge'`` switches to
-    'at least', for sensitivity checks)."""
+    Solves one SDP per outcome pair (a, b), with the Bell value as an
+    equality, and returns the maximum."""
     level = _normalize_level(level)
+    _check_input_pair(expr, input_pair)
     x, y = input_pair
-    if not (0 <= x < expr.alice_settings and 0 <= y < expr.bob_settings):
-        raise OutOfRange(f"input pair {input_pair} outside the scenario")
-    if bell_constraint not in ("eq", "ge"):
-        raise ValueError("bell_constraint must be 'eq' or 'ge'")
 
     qmax = tsirelson_bound(expr, level)
     if abs(bell_value) > qmax + 1e-6:
@@ -422,7 +405,7 @@ def max_guessing_probability(
     for a in range(2):
         for b in range(2):
             problem, const_term = _cached_guess_problem(
-                expr, level, x, y, a, b, bell_constraint
+                expr, level, x, y, a, b, "eq"
             ).at(bell_value)
             value = const_term + _attained_side_value(
                 solve(problem), f"guessing probability p({a}{b}|{x}{y})"
@@ -462,6 +445,7 @@ def min_entropy_curve(
     exceed the classical bound report zero entropy.
     """
     level = _normalize_level(level)
+    _check_input_pair(expr, input_pair)
     cb = classical_bound(expr)
     points = []
     for param in grid:
@@ -501,19 +485,15 @@ def entropy_crossover(params, curve_a, curve_b) -> float | None:
 CURVE_CSV_HEADER = "param,bell_value,guessing_probability,min_entropy_bits"
 
 
-def curve_csv_row(param: float, pt: RandomnessPoint) -> str:
-    """One 12-significant-digit CSV row; the entropy column is recomputed
-    from the rounded probability column so the row satisfies
-    min_entropy = -log2(guessing_probability) as printed."""
-    g_text = f"{pt.guessing_probability:.12g}"
-    g_rounded = float(g_text)
-    entropy = -math.log2(g_rounded) if g_rounded < 1.0 else 0.0
-    return f"{param:.12g},{pt.bell_value:.12g},{g_text},{entropy:.12g}"
-
-
 def curve_csv(params, points) -> str:
-    """CSV rows param,bell_value,guessing_probability,min_entropy_bits."""
+    """CSV rows param,bell_value,guessing_probability,min_entropy_bits at 12
+    significant digits.  The entropy column is recomputed from the rounded
+    probability column, so each row satisfies
+    min_entropy = -log2(guessing_probability) as printed."""
     lines = [CURVE_CSV_HEADER]
     for param, pt in zip(params, points):
-        lines.append(curve_csv_row(float(param), pt))
+        text = f"{pt.guessing_probability:.12g}"
+        rounded = float(text)
+        entropy = -math.log2(rounded) if rounded < 1.0 else 0.0
+        lines.append(f"{float(param):.12g},{pt.bell_value:.12g},{text},{entropy:.12g}")
     return "\n".join(lines) + "\n"

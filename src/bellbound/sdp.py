@@ -85,6 +85,8 @@ class SdpProblem:
         self._amat, self._groups, self._b = _flatten_constraints(
             self.constraints, self.n
         )
+        if not np.all(np.isfinite(self._amat.data)):
+            raise ValueError("constraint matrix must be finite")
         if not np.all(np.isfinite(self._b)):
             raise ValueError("constraint target must be finite")
         # Row i holds vec(A_i); its transpose permutes columns r*n+c -> c*n+r.

@@ -63,15 +63,6 @@ class TwoQubitState:
     def __setattr__(self, name, value):
         raise AttributeError("TwoQubitState is immutable")
 
-    @classmethod
-    def unchecked(cls, rho: np.ndarray) -> "TwoQubitState":
-        """Bypass validation; intended for tests only."""
-        obj = object.__new__(cls)
-        rho = np.array(rho, dtype=complex)
-        rho.flags.writeable = False
-        object.__setattr__(obj, "rho", rho)
-        return obj
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.rho @ self.rho)))
 

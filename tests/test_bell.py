@@ -23,6 +23,7 @@ from bellbound import (
     violation_threshold,
     werner_state,
 )
+from bellbound import bell
 from bellbound.bell import BellExpression, family_domain, family_state, max_violation
 from bellbound.errors import (
     DegenerateState,
@@ -165,6 +166,32 @@ class TestOptimalMeasurements:
     def test_fully_degenerate_raises(self):
         with pytest.raises(DegenerateState):
             optimal_measurements(werner_state(0.0))
+
+    def test_sign_convention_and_determinism(self):
+        # Bob's vectors come from right singular vectors whose first nonzero
+        # component is made nonnegative; LAPACK's own signs differ for some
+        # of these states, so the reference below fails without the rule.
+        rng = np.random.default_rng(5)
+        flipped = 0
+        for _ in range(20):
+            state = random_state(rng)
+            t = bell.correlation_data(state).t
+            lam, vt = np.linalg.svd(t)[1:]
+            signs = np.ones(3)
+            for j in range(3):
+                first = np.flatnonzero(np.abs(vt[j]) > 1e-12)[0]
+                if vt[j, first] < 0.0:
+                    signs[j] = -1.0
+                    flipped += 1
+            v = vt.T * signs
+            expected = (bell._BOB_SIGNS * lam) @ v.T / float(np.linalg.norm(lam))
+            expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+            first_run = optimal_measurements(state)
+            second_run = optimal_measurements(state)
+            assert np.array_equal(first_run.bob, second_run.bob)
+            assert np.array_equal(first_run.alice, second_run.alice)
+            assert np.array_equal(first_run.bob, expected)
+        assert flipped > 0
 
 
 class TestTightnessCheck:
@@ -345,6 +372,12 @@ class TestViolationThreshold:
     def test_werner_family(self):
         p_star = violation_threshold("werner-p", ebi())
         assert abs(p_star - ROOT3 / 2) <= 2e-6
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        # The bisection ends once no float lies strictly inside the bracket.
+        for tol in (0.0, 1e-17):
+            p_star = violation_threshold("werner-p", ebi(), tol=tol)
+            assert abs(p_star - ROOT3 / 2) <= 1e-15
 
     def test_chsh_violated_everywhere(self):
         assert violation_threshold("pure-theta", chsh()) == 0.0

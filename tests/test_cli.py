@@ -196,6 +196,17 @@ class TestRandomness:
         )
         assert code == 2
 
+    def test_out_of_range_pair_exits_2(self, capsys):
+        # No grid point violates, so no guessing SDP would see the pair.
+        code, out, err = run(
+            capsys,
+            "randomness", "--family", "werner", "--expr", "chsh",
+            "--grid", "0:0.5:3", "--pair", "9,9",
+        )
+        assert code == 2
+        assert out == ""
+        assert "input pair (9, 9)" in err
+
     def test_thread_env_override(self, capsys, tmp_path, monkeypatch):
         # Sweeps have no thread knobs: --threads is unknown and
         # BELLBOUND_THREADS is ignored.

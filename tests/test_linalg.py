@@ -13,58 +13,6 @@ from bellbound.errors import NotPositiveDefinite
 from bellbound.states import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
-class TestSvd3:
-    def test_pure_family_values(self):
-        theta = np.pi / 8
-        s2 = np.sin(2 * theta)
-        dec = linalg.svd3(np.diag([s2, s2, 1.0]))
-        assert np.allclose(dec.singular_values, [1.0, np.sqrt(2) / 2, np.sqrt(2) / 2])
-
-    def test_negative_identity(self):
-        dec = linalg.svd3(-np.eye(3))
-        assert np.allclose(dec.singular_values, [1.0, 1.0, 1.0])
-
-    def test_zero_matrix(self):
-        dec = linalg.svd3(np.zeros((3, 3)))
-        assert np.allclose(dec.singular_values, 0.0)
-        # Completion still yields orthonormal bases.
-        assert np.allclose(dec.left_vectors.T @ dec.left_vectors, np.eye(3), atol=1e-12)
-
-    def test_seeded_random_invariants(self):
-        rng = np.random.default_rng(123)
-        for _ in range(1000):
-            t = rng.uniform(-1.0, 1.0, size=(3, 3))
-            dec = linalg.svd3(t)
-            rebuilt = (
-                dec.left_vectors @ np.diag(dec.singular_values) @ dec.right_vectors.T
-            )
-            assert np.max(np.abs(rebuilt - t)) <= 1e-10
-            assert np.all(dec.singular_values >= 0.0)
-            assert np.all(np.diff(dec.singular_values) <= 1e-14)
-            assert np.max(np.abs(dec.left_vectors.T @ dec.left_vectors - np.eye(3))) <= 1e-10
-            assert np.max(np.abs(dec.right_vectors.T @ dec.right_vectors - np.eye(3))) <= 1e-10
-
-    def test_sign_convention_and_determinism(self):
-        rng = np.random.default_rng(5)
-        t = rng.uniform(-1.0, 1.0, size=(3, 3))
-        first = linalg.svd3(t)
-        second = linalg.svd3(t.copy())
-        assert np.array_equal(first.right_vectors, second.right_vectors)
-        assert np.array_equal(first.left_vectors, second.left_vectors)
-        for j in range(3):
-            col = first.right_vectors[:, j]
-            nz = np.nonzero(np.abs(col) > 1e-12)[0]
-            assert col[nz[0]] >= 0.0
-
-    def test_matches_lapack_singular_values(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            t = rng.normal(size=(3, 3))
-            dec = linalg.svd3(t)
-            ref = np.linalg.svd(t, compute_uv=False)
-            assert np.max(np.abs(dec.singular_values - ref)) < 1e-10
-
-
 class TestKron:
     """np.kron's index order, which the basis order |00>, |01>, |10>, |11>
     of states and Bell operators relies on."""

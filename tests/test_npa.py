@@ -5,7 +5,6 @@ import pytest
 
 from bellbound import (
     RandomnessPoint,
-    Scenario,
     build_moment_structure,
     chained,
     chsh,
@@ -19,31 +18,50 @@ from bellbound import (
 )
 from bellbound import npa
 from bellbound.errors import InfeasibleValue, OutOfRange, UnsupportedLevel
+from bellbound.bell import BellExpression
 from bellbound.npa import curve_csv
 
 ROOT2 = np.sqrt(2.0)
 ROOT3 = np.sqrt(3.0)
 
 
+def scenario(k: int, l: int) -> BellExpression:
+    """An all-zero expression: only its numbers of settings matter."""
+    return BellExpression("zero", k, l, np.zeros((k, l)), np.zeros(k), np.zeros(l))
+
+
+def ge_guessing_probability(expr, value, level="2"):
+    """max_guessing_probability with the Bell value as a lower bound ('ge'
+    form, reached only through the problem cache)."""
+    best = 0.0
+    for a in range(2):
+        for b in range(2):
+            problem, const = npa._cached_guess_problem(
+                expr, level, 0, 0, a, b, "ge"
+            ).at(value)
+            best = max(best, const + solve(problem).dual_obj)
+    return min(1.0, max(0.25, best))
+
+
 class TestMomentStructure:
     def test_monomial_counts(self):
-        assert build_moment_structure(Scenario(2, 2), 1).size == 5
-        assert build_moment_structure(Scenario(3, 4), "1+AB").size == 20
-        assert build_moment_structure(Scenario(3, 4), 2).size == 38
+        assert build_moment_structure(2, 2, 1).size == 5
+        assert build_moment_structure(3, 4, "1+AB").size == 20
+        assert build_moment_structure(3, 4, 2).size == 38
 
     def test_identity_class_is_pinned(self):
-        ms = build_moment_structure(Scenario(3, 4), 2)
+        ms = build_moment_structure(3, 4, 2)
         assert ms.monomials[0].alice == () and ms.monomials[0].bob == ()
         assert ms.entry_class[0, 0] == 0
         assert np.count_nonzero(ms.entry_class == 0) == 1
         assert ms.class_indicator[:, 0].nonzero()[0].tolist() == [0]
 
     def test_entry_classes_are_symmetric(self):
-        ms = build_moment_structure(Scenario(3, 4), 2)
+        ms = build_moment_structure(3, 4, 2)
         assert np.array_equal(ms.entry_class, ms.entry_class.T)
 
     def test_idempotence_and_commutation(self):
-        ms = build_moment_structure(Scenario(2, 2), 2)
+        ms = build_moment_structure(2, 2, 2)
         # <P_x (P_x)> collapses to <P_x>: diagonal of a single-projector
         # word equals its first moment.
         idx_a0 = next(
@@ -58,7 +76,7 @@ class TestMomentStructure:
         assert ms.entry_class[idx_a0, idx_b0] == ms.entry_class[idx_b0, idx_a0]
 
     def test_reconstructed_matrix_symmetry(self):
-        ms = build_moment_structure(Scenario(3, 4), 2)
+        ms = build_moment_structure(3, 4, 2)
         rng = np.random.default_rng(12)
         for _ in range(50):
             values = rng.normal(size=ms.class_count)
@@ -68,9 +86,9 @@ class TestMomentStructure:
             assert matrix[0, 0] == 1.0
 
     def test_constraint_budget(self):
-        ms = build_moment_structure(Scenario(3, 4), 2)
+        ms = build_moment_structure(3, 4, 2)
         bell = npa._bell_functional(ms, ebi())
-        prob = npa._prob_functional(ms, 0, 0, 0, 0)
+        prob = npa._prob_functional(ms, ebi(), 0, 0, 0, 0)
         budget = ms.size * (ms.size + 1) // 2
         tsirelson = npa._reduced_sdp(ms, bell).problem
         eq = npa._reduced_sdp(ms, prob, bell, "eq").problem
@@ -87,9 +105,7 @@ class TestMomentStructure:
     def test_tsirelson_operator_spans_the_moment_matrix(self, expr, level):
         # F0 + sum_i z_i F_i = z[entry_class] with F0 = C and F_i = -A_i,
         # the free classes being every class but the identity, in order.
-        ms = build_moment_structure(
-            Scenario(expr.alice_settings, expr.bob_settings), level
-        )
+        ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
         problem = npa._reduced_sdp(ms, npa._bell_functional(ms, expr)).problem
         identity = ms.entry_class[0, 0]
         free = [c for c in range(ms.class_count) if c != identity]
@@ -104,11 +120,37 @@ class TestMomentStructure:
 
     def test_unsupported_level(self):
         with pytest.raises(UnsupportedLevel):
-            build_moment_structure(Scenario(2, 2), 3)
+            build_moment_structure(2, 2, 3)
 
     def test_scenario_validation(self):
         with pytest.raises(OutOfRange):
-            Scenario(0, 2)
+            build_moment_structure(0, 2, 2)
+        with pytest.raises(OutOfRange):
+            build_moment_structure(2, 0, 1)
+
+    @pytest.mark.parametrize("level", npa.LEVELS)
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 2), (3, 3), (3, 4), (4, 2)])
+    def test_first_order_classes_match_moment_keys(self, k, l, level):
+        # Oracle: the class of each canonical moment key, collected over
+        # every entry of the moment matrix; each key owns exactly one class.
+        ms = build_moment_structure(k, l, level)
+        key_to_class = {}
+        for i, wi in enumerate(ms.monomials):
+            for j, wj in enumerate(ms.monomials):
+                key = npa._moment_key(
+                    npa._collapse(wi.alice[::-1] + wj.alice),
+                    npa._collapse(wi.bob[::-1] + wj.bob),
+                )
+                assert key_to_class.setdefault(key, ms.entry_class[i, j]) == (
+                    ms.entry_class[i, j]
+                )
+        assert len(key_to_class) == ms.class_count
+        alice, bob, joint = npa._first_order_classes(ms, scenario(k, l))
+        assert alice.tolist() == [key_to_class[((x,), ())] for x in range(k)]
+        assert bob.tolist() == [key_to_class[((), (y,))] for y in range(l)]
+        assert joint.tolist() == [
+            [key_to_class[((x,), (y,))] for y in range(l)] for x in range(k)
+        ]
 
 
 class TestTsirelsonBound:
@@ -180,7 +222,7 @@ class TestGuessingProbability:
 
     def test_ge_variant_agrees(self):
         eq = max_guessing_probability(chsh(), 2.5, (0, 0), 2)
-        ge = max_guessing_probability(chsh(), 2.5, (0, 0), 2, bell_constraint="ge")
+        ge = ge_guessing_probability(chsh(), 2.5)
         assert abs(eq - ge) <= 1e-6
 
     def test_infeasible_value(self):
@@ -190,8 +232,8 @@ class TestGuessingProbability:
     def test_input_pair_validation(self):
         with pytest.raises(OutOfRange):
             max_guessing_probability(chsh(), 2.2, (0, 5), 2)
-        with pytest.raises(ValueError):
-            max_guessing_probability(chsh(), 2.2, (0, 0), 2, bell_constraint="le")
+        with pytest.raises(OutOfRange):
+            max_guessing_probability(chsh(), 2.2, (-1, 0), 2)
 
     def test_all_input_pairs_agree_at_maximum(self):
         # The maximal-violation behavior is setting-symmetric.
@@ -208,9 +250,7 @@ class TestGuessProblemReuse:
     @pytest.mark.parametrize("level", ["1+AB", "2"])
     @pytest.mark.parametrize("expr", [ebi(), chsh()], ids=["ebi", "chsh"])
     def test_reused_problem_matches_fresh_build(self, expr, level, mode):
-        ms = build_moment_structure(
-            Scenario(expr.alice_settings, expr.bob_settings), level
-        )
+        ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
         bell = npa._bell_functional(ms, expr)
         cb, qmax = classical_bound(expr), tsirelson_bound(expr, level)
         values = [cb + f * (qmax - cb) for f in (0.3, 0.6, 0.9)]
@@ -221,15 +261,16 @@ class TestGuessProblemReuse:
                     reused = npa._cached_guess_problem(expr, level, 0, 0, a, b, mode)
                     problem, const = reused.at(value)
                     fresh, fresh_const = npa._reduced_sdp(
-                        ms, npa._prob_functional(ms, 0, 0, a, b), bell, mode
+                        ms, npa._prob_functional(ms, expr, 0, 0, a, b), bell, mode
                     ).at(value)
                     assert problem._amat is reused.problem._amat
                     assert np.array_equal(problem.c, fresh.c)
                     assert const == fresh_const
                     best = max(best, fresh_const + solve(fresh).dual_obj)
-            reused_value = max_guessing_probability(
-                expr, value, (0, 0), level, bell_constraint=mode
-            )
+            if mode == "eq":
+                reused_value = max_guessing_probability(expr, value, (0, 0), level)
+            else:
+                reused_value = ge_guessing_probability(expr, value, level)
             assert abs(reused_value - min(1.0, max(0.25, best))) <= 1e-12
 
 
@@ -259,6 +300,12 @@ class TestMinEntropyCurve:
         assert abs(pt.min_entropy - 1.34) <= 0.05
         pt = min_entropy_curve("werner-p", [1.0], chained(3), 2)[0]
         assert abs(pt.min_entropy - 1.1) <= 0.05
+
+    def test_input_pair_checked_without_violation(self):
+        # No grid point violates, so no guessing SDP would see the pair.
+        for pair in ((7, -3), (9, 9), (0, 2)):
+            with pytest.raises(OutOfRange):
+                min_entropy_curve("werner-p", [0.0, 0.5], chsh(), 2, input_pair=pair)
 
     def test_entropy_identity_along_curve(self):
         points = min_entropy_curve(

@@ -59,6 +59,15 @@ class TestValidation:
             with pytest.raises(ValueError):
                 SdpProblem(n=1, c=np.array([[bad]]), constraints=[(np.eye(1), 1.0)])
 
+    def test_rejects_non_finite_constraint(self):
+        # NaN entries would pass the symmetry test: every comparison with
+        # NaN is false.
+        for bad in (np.nan, np.inf):
+            dense = np.full((2, 2), bad)
+            for a in (dense, sp.csr_matrix(dense)):
+                with pytest.raises(ValueError, match="finite"):
+                    SdpProblem(n=2, c=np.eye(2), constraints=[(a, 1.0)])
+
     def test_with_objective_shares_constraints(self):
         problem = gram_problem()
         other = problem.with_objective(np.eye(4))

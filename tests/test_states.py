@@ -11,7 +11,6 @@ from bellbound import (
     werner_state,
 )
 from bellbound.errors import OutOfRange
-from bellbound.linalg import svd3
 from bellbound.states import ID2, PAULI
 
 
@@ -83,7 +82,7 @@ class TestWernerState:
 
     def test_singular_values_scale_with_visibility(self):
         for p in np.linspace(0, 1, 11):
-            sv = svd3(correlation_data(werner_state(p)).t).singular_values
+            sv = np.linalg.svd(correlation_data(werner_state(p)).t)[1]
             assert np.max(np.abs(sv - p)) <= 1e-12
 
     def test_signed_correlations(self):
@@ -159,10 +158,6 @@ class TestValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             TwoQubitState(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
-
-    def test_unchecked_bypasses(self):
-        state = TwoQubitState.unchecked(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
-        assert state.rho[0, 0] == 1.5
 
     def test_immutability(self):
         state = singlet()
