@@ -5,6 +5,11 @@ synthesis of measurements that saturate it, saturation diagnostics,
 classical (deterministic-strategy) bounds, an alternating see-saw oracle,
 and quantum behaviors p(ab|xy).
 
+A Bell expression is a name and a table of correlator coefficients c_kl
+weighting <A_k B_l>, nothing else: having no single-party terms, every
+expression is unchanged under A -> -A, B -> -B.  The built-ins are the
+elegant 3x4 expression (ebi), CHSH and the n-setting chained expression.
+
 The three-setting-by-four-setting expression handled by the tight bound is
 
     A1(B1+B2-B3-B4) + A2(B1-B2+B3-B4) + A3(B1-B2-B3+B4)
@@ -65,27 +70,31 @@ _BOB_SIGNS = np.array(
 class BellExpression:
     """A bipartite correlator expression sum_kl c_kl <A_k B_l>.
 
-    ``marginal`` coefficients are carried for generality; they are zero for
-    all three built-ins.
+    The whole record is a name and the (k, l) coefficient table, stored as
+    a float64 copy; the numbers of settings are the table's shape.
     """
 
     name: str
-    alice_settings: int
-    bob_settings: int
-    coeffs: np.ndarray            # (k, l)
-    alice_marginals: np.ndarray   # (k,)
-    bob_marginals: np.ndarray     # (l,)
+    coeffs: np.ndarray  # (k, l)
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.alice_settings, self.bob_settings):
+        coeffs = np.array(self.coeffs, dtype=np.float64)
+        if coeffs.ndim != 2 or 0 in coeffs.shape:
             raise DimensionMismatch(
-                f"coefficient table {self.coeffs.shape} does not match "
-                f"({self.alice_settings}, {self.bob_settings})"
+                f"coefficient table must be 2-D with no empty axis, "
+                f"got shape {coeffs.shape}"
             )
-        if self.alice_marginals.shape != (self.alice_settings,):
-            raise DimensionMismatch("alice marginal length mismatch")
-        if self.bob_marginals.shape != (self.bob_settings,):
-            raise DimensionMismatch("bob marginal length mismatch")
+        if not np.all(np.isfinite(coeffs)):
+            raise OutOfRange("coefficient table must be finite")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def alice_settings(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def bob_settings(self) -> int:
+        return self.coeffs.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,26 +179,11 @@ _EBI_COEFFS = np.array(
 
 
 def ebi() -> BellExpression:
-    return BellExpression(
-        name="ebi",
-        alice_settings=3,
-        bob_settings=4,
-        coeffs=_EBI_COEFFS.copy(),
-        alice_marginals=np.zeros(3),
-        bob_marginals=np.zeros(4),
-    )
+    return BellExpression("ebi", _EBI_COEFFS)
 
 
 def chsh() -> BellExpression:
-    coeffs = np.array([[1.0, 1.0], [1.0, -1.0]])
-    return BellExpression(
-        name="chsh",
-        alice_settings=2,
-        bob_settings=2,
-        coeffs=coeffs,
-        alice_marginals=np.zeros(2),
-        bob_marginals=np.zeros(2),
-    )
+    return BellExpression("chsh", np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 def chained(n: int) -> BellExpression:
@@ -202,14 +196,7 @@ def chained(n: int) -> BellExpression:
     for i in range(n - 1):
         coeffs[i + 1, i] = 1.0
     coeffs[0, n - 1] = -1.0
-    return BellExpression(
-        name=f"chained{n}",
-        alice_settings=n,
-        bob_settings=n,
-        coeffs=coeffs,
-        alice_marginals=np.zeros(n),
-        bob_marginals=np.zeros(n),
-    )
+    return BellExpression(f"chained{n}", coeffs)
 
 
 def _check_shapes(expr: BellExpression, strategy: MeasurementStrategy) -> None:
@@ -231,10 +218,7 @@ def expectation(
     """Signed expectation value via the correlator route a_k^T T b_l."""
     _check_shapes(expr, strategy)
     cd = correlation_data(state)
-    value = float(np.sum(expr.coeffs * (strategy.alice @ cd.t @ strategy.bob.T)))
-    value += float(expr.alice_marginals @ (strategy.alice @ cd.r))
-    value += float(expr.bob_marginals @ (strategy.bob @ cd.s))
-    return value
+    return float(np.sum(expr.coeffs * (strategy.alice @ cd.t @ strategy.bob.T)))
 
 
 def _obs(v: np.ndarray) -> np.ndarray:
@@ -243,7 +227,7 @@ def _obs(v: np.ndarray) -> np.ndarray:
 
 
 def bell_operator(expr: BellExpression, strategy: MeasurementStrategy) -> np.ndarray:
-    """4x4 operator sum_kl c_kl (a_k.sigma)(x)(b_l.sigma) plus marginal terms."""
+    """4x4 operator sum_kl c_kl (a_k.sigma)(x)(b_l.sigma)."""
     _check_shapes(expr, strategy)
     op = np.zeros((4, 4), dtype=complex)
     for k in range(expr.alice_settings):
@@ -252,12 +236,6 @@ def bell_operator(expr: BellExpression, strategy: MeasurementStrategy) -> np.nda
                 op += expr.coeffs[k, l] * np.kron(
                     _obs(strategy.alice[k]), _obs(strategy.bob[l])
                 )
-    for k in range(expr.alice_settings):
-        if expr.alice_marginals[k] != 0.0:
-            op += expr.alice_marginals[k] * np.kron(_obs(strategy.alice[k]), ID2)
-    for l in range(expr.bob_settings):
-        if expr.bob_marginals[l] != 0.0:
-            op += expr.bob_marginals[l] * np.kron(ID2, _obs(strategy.bob[l]))
     return op
 
 
@@ -375,20 +353,12 @@ def classical_bound(expr: BellExpression) -> float:
     k, l = expr.alice_settings, expr.bob_settings
     if k + l > ENUMERATION_CAP:
         raise TooManySettings(f"k + l = {k + l} exceeds {ENUMERATION_CAP}")
-    # Enumerate the smaller side.
-    if l <= k:
-        table = expr.coeffs
-        outer_marg, inner_marg = expr.bob_marginals, expr.alice_marginals
-        n_outer = l
-    else:
-        table = expr.coeffs.T
-        outer_marg, inner_marg = expr.alice_marginals, expr.bob_marginals
-        n_outer = k
+    # Enumerate the smaller side, the table's columns.
+    table = expr.coeffs if l <= k else expr.coeffs.T
+    n_outer = table.shape[1]
     codes = np.arange(2**n_outer)[:, None]
     signs = 1.0 - 2.0 * ((codes >> np.arange(n_outer)) & 1)  # (2^n, n) of +-1
-    inner_sums = signs @ table.T + inner_marg  # (2^n, k_inner)
-    values = np.sum(np.abs(inner_sums), axis=1) + signs @ outer_marg
-    return float(np.max(values))
+    return float(np.max(np.sum(np.abs(signs @ table.T), axis=1)))
 
 
 def behavior_from(state: TwoQubitState, strategy: MeasurementStrategy) -> Behavior:
@@ -484,14 +454,9 @@ def max_violation(state: TwoQubitState, expr: BellExpression, seed: int = 7) -> 
     """Maximal quantum violation of ``expr`` for ``state``.
 
     Closed form (the tight bound) for the 3x4 expression, recognised by its
-    coefficients and zero marginals whatever its name; see-saw oracle
-    otherwise.
+    coefficients whatever its name; see-saw oracle otherwise.
     """
-    if (
-        np.array_equal(expr.coeffs, _EBI_COEFFS)
-        and not expr.alice_marginals.any()
-        and not expr.bob_marginals.any()
-    ):
+    if np.array_equal(expr.coeffs, _EBI_COEFFS):
         return tight_bound(state)
     value, _ = seesaw_max_violation(state, expr, restarts=8, seed=seed)
     return abs(value)

@@ -197,8 +197,10 @@ def _curve(args: argparse.Namespace, family: str, expr: bell.BellExpression, par
     Returns the points before the first numerical failure and that failure
     (None if every point succeeded); no point after a failure is computed.
     """
-    # Every point shares the Tsirelson bound; failing to compute it is not
-    # a truncated curve.
+    # A bad pair is a configuration error before any solve.  Every point
+    # shares the Tsirelson bound; failing to compute it is not a truncated
+    # curve.
+    npa._check_input_pair(expr, args.pair)
     npa.tsirelson_bound(expr, args.level)
     points: list[npa.RandomnessPoint] = []
     # Points run one at a time.  The one-worker executor stays only because

@@ -169,16 +169,6 @@ def _bell_functional(ms: MomentStructure, expr: BellExpression):
             g[alice[x]] += -2.0 * c
             g[bob[y]] += -2.0 * c
             const += c
-    for x in range(expr.alice_settings):
-        c = float(expr.alice_marginals[x])
-        if c != 0.0:
-            g[alice[x]] += 2.0 * c
-            const -= c
-    for y in range(expr.bob_settings):
-        c = float(expr.bob_marginals[y])
-        if c != 0.0:
-            g[bob[y]] += 2.0 * c
-            const -= c
     return g, const
 
 
@@ -218,14 +208,8 @@ def _certified_upper_value(sol: SdpSolution, what: str) -> float:
 
 
 def _expr_cache_key(expr: BellExpression, level: str):
-    return (
-        expr.alice_settings,
-        expr.bob_settings,
-        level,
-        expr.coeffs.tobytes(),
-        expr.alice_marginals.tobytes(),
-        expr.bob_marginals.tobytes(),
-    )
+    # The shape belongs in the key: a 2x3 and a 3x2 table can share bytes.
+    return expr.coeffs.shape, level, expr.coeffs.tobytes()
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -45,7 +45,7 @@ def brute_force_classical(expr: BellExpression) -> float:
         a = 1.0 - 2.0 * ((a_code >> np.arange(k)) & 1)
         for b_code in range(2**l):
             b = 1.0 - 2.0 * ((b_code >> np.arange(l)) & 1)
-            value = a @ expr.coeffs @ b + expr.alice_marginals @ a + expr.bob_marginals @ b
+            value = a @ expr.coeffs @ b
             best = max(best, value)
     return float(best)
 
@@ -57,7 +57,29 @@ class TestBuilders:
         assert np.array_equal(expr.coeffs[0], [1, 1, -1, -1])
         assert np.array_equal(expr.coeffs[1], [1, -1, 1, -1])
         assert np.array_equal(expr.coeffs[2], [1, -1, -1, 1])
-        assert np.all(expr.alice_marginals == 0) and np.all(expr.bob_marginals == 0)
+
+    def test_table_is_the_whole_record(self):
+        expr = BellExpression("ints", [[1, 0, -1], [0, 1, 1]])
+        assert [f.name for f in fields(BellExpression)] == ["name", "coeffs"]
+        assert expr.coeffs.dtype == np.float64
+        assert (expr.alice_settings, expr.bob_settings) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "table", [[[np.nan]], [[1.0, np.inf]], [[-np.inf], [0.0]]]
+    )
+    def test_rejects_non_finite_table(self, table):
+        with pytest.raises(OutOfRange):
+            BellExpression("bad", np.array(table))
+
+    @pytest.mark.parametrize(
+        "table",
+        [np.float64(1.0), np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 2)),
+         np.zeros((2, 0))],
+        ids=["0d", "1d", "3d", "no-rows", "no-columns"],
+    )
+    def test_rejects_bad_shape(self, table):
+        with pytest.raises(DimensionMismatch):
+            BellExpression("bad", table)
 
     def test_chsh_coefficients(self):
         assert np.array_equal(chsh().coeffs, [[1, 1], [1, -1]])
@@ -238,14 +260,7 @@ class TestClassicalBound:
         for _ in range(20):
             k = int(rng.integers(1, 4))
             l = int(rng.integers(1, 4))
-            expr = BellExpression(
-                name="random",
-                alice_settings=k,
-                bob_settings=l,
-                coeffs=rng.normal(size=(k, l)),
-                alice_marginals=rng.normal(size=k),
-                bob_marginals=rng.normal(size=l),
-            )
+            expr = BellExpression("random", rng.normal(size=(k, l)))
             assert abs(classical_bound(expr) - brute_force_classical(expr)) < 1e-12
 
     def test_relabeling_invariance(self):
@@ -257,14 +272,7 @@ class TestClassicalBound:
             flips_a = rng.choice([-1.0, 1.0], size=3)
             flips_b = rng.choice([-1.0, 1.0], size=4)
             coeffs = (flips_a[:, None] * base.coeffs[perm_a][:, perm_b]) * flips_b[None, :]
-            relabeled = BellExpression(
-                name="relabelled",
-                alice_settings=3,
-                bob_settings=4,
-                coeffs=coeffs,
-                alice_marginals=np.zeros(3),
-                bob_marginals=np.zeros(4),
-            )
+            relabeled = BellExpression("relabelled", coeffs)
             assert classical_bound(relabeled) == 6.0
 
     def test_enumeration_guard(self):
@@ -383,14 +391,7 @@ class TestViolationThreshold:
         assert violation_threshold("pure-theta", chsh()) == 0.0
 
     def test_no_crossing(self):
-        flat = BellExpression(
-            name="flat",
-            alice_settings=2,
-            bob_settings=2,
-            coeffs=np.ones((2, 2)),
-            alice_marginals=np.zeros(2),
-            bob_marginals=np.zeros(2),
-        )
+        flat = BellExpression("flat", np.ones((2, 2)))
         with pytest.raises(NoCrossing):
             violation_threshold("werner-p", flat)
 

@@ -196,8 +196,14 @@ class TestRandomness:
         )
         assert code == 2
 
-    def test_out_of_range_pair_exits_2(self, capsys):
-        # No grid point violates, so no guessing SDP would see the pair.
+    def test_out_of_range_pair_exits_2(self, capsys, monkeypatch):
+        # No grid point violates, so no guessing SDP would see the pair; the
+        # pair is rejected before the Tsirelson solve, even on a cold cache.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an SDP was solved for a bad input pair")
+
+        monkeypatch.setattr(npa, "_tsirelson_cache", {})
+        monkeypatch.setattr(npa, "solve", no_solve)
         code, out, err = run(
             capsys,
             "randomness", "--family", "werner", "--expr", "chsh",

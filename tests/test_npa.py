@@ -27,7 +27,7 @@ ROOT3 = np.sqrt(3.0)
 
 def scenario(k: int, l: int) -> BellExpression:
     """An all-zero expression: only its numbers of settings matter."""
-    return BellExpression("zero", k, l, np.zeros((k, l)), np.zeros(k), np.zeros(l))
+    return BellExpression("zero", np.zeros((k, l)))
 
 
 def ge_guessing_probability(expr, value, level="2"):
@@ -180,6 +180,18 @@ class TestTsirelsonBound:
             # combined solver tolerance of the two values.
             assert level2 <= level_ab + 5e-7
             assert level_ab <= level1 + 5e-7
+
+    def test_transposed_shapes_with_equal_bytes_are_cached_apart(self, monkeypatch):
+        # CHSH on (B1, B2) plus A1 B3, against A1(B1+B2) + A2(B1+B2) - A3 B1:
+        # the same bytes in a 2x3 and a 3x2 table, with quantum values
+        # 1 + 2 sqrt(2) and 5.
+        wide = BellExpression("wide", np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]))
+        tall = BellExpression("tall", wide.coeffs.reshape(3, 2))
+        assert wide.coeffs.tobytes() == tall.coeffs.tobytes()
+        assert npa._expr_cache_key(wide, "1+AB") != npa._expr_cache_key(tall, "1+AB")
+        monkeypatch.setattr(npa, "_tsirelson_cache", {})
+        assert abs(tsirelson_bound(wide, "1+AB") - (1 + 2 * ROOT2)) <= 1e-7
+        assert abs(tsirelson_bound(tall, "1+AB") - 5.0) <= 1e-7
 
 
 class TestGuessingProbability:
