@@ -109,7 +109,7 @@ class MeasurementStrategy:
             if vecs.ndim != 2 or vecs.shape[1] != 3:
                 raise DimensionMismatch(f"{label} vectors must have shape (n, 3)")
             norms = np.linalg.norm(vecs, axis=1)
-            if np.max(np.abs(norms - 1.0)) > EPS_UNIT:
+            if not np.max(np.abs(norms - 1.0)) <= EPS_UNIT:  # NaN fails too
                 raise OutOfRange(f"{label} vectors must be unit within {EPS_UNIT}")
 
     def to_json(self) -> str:
@@ -128,8 +128,8 @@ class MeasurementStrategy:
 class Behavior:
     """Conditional-probability table p[x, y, a, b] for dichotomic outcomes.
 
-    Validated for nonnegativity, normalization per input pair, and
-    no-signaling between the parties.
+    Validated for finiteness, nonnegativity, normalization per input pair,
+    and no-signaling between the parties.
     """
 
     table: np.ndarray  # (k, l, 2, 2)
@@ -138,6 +138,8 @@ class Behavior:
         p = self.table
         if p.ndim != 4 or p.shape[2:] != (2, 2):
             raise DimensionMismatch(f"behavior table has shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise OutOfRange("behavior table must be finite")
         if np.min(p) < -1e-12:
             raise ValueError(f"negative probability {np.min(p):.3e}")
         sums = p.sum(axis=(2, 3))
@@ -414,19 +416,17 @@ def seesaw_max_violation(
     bob = unit_rows((restarts, expr.bob_settings, 3))
 
     def normalize(v, fallback):
-        norms = np.linalg.norm(v, axis=-1, keepdims=True)
-        ok = norms > 1e-300
-        return np.where(ok, v / np.where(ok, norms, 1.0), fallback)
+        norms = np.sqrt((v * v).sum(-1, keepdims=True))
+        return np.divide(v, norms, out=fallback.copy(), where=norms > 1e-300)
 
     values = np.full(restarts, -np.inf)
     for _ in range(500):
-        alice = normalize(np.einsum("kl,rlx,yx->rky", coeffs, bob, t), alice)
-        bob = normalize(np.einsum("kl,rkx,xy->rly", coeffs, alice, t), bob)
-        new = np.einsum("kl,rkx,xy,rly->r", coeffs, alice, t, bob)
-        if np.max(np.abs(new - values)) < 1e-12:
-            values = new
+        alice = normalize(coeffs @ bob @ t.T, alice)
+        image = coeffs.T @ alice @ t  # (restarts, l, 3): T^T sum_k c_kl a_k
+        bob = normalize(image, bob)
+        values, old = (image * bob).sum(axis=(1, 2)), values
+        if np.max(np.abs(values - old)) < 1e-12:
             break
-        values = new
 
     best = int(np.argmax(values))
     strategy = MeasurementStrategy(alice=alice[best].copy(), bob=bob[best].copy())
@@ -451,10 +451,11 @@ def family_domain(family: str) -> tuple[float, float]:
 
 
 def max_violation(state: TwoQubitState, expr: BellExpression, seed: int = 7) -> float:
-    """Maximal quantum violation of ``expr`` for ``state``.
+    """An achievable Bell value of ``expr`` for ``state``, not its maximum.
 
-    Closed form (the tight bound) for the 3x4 expression, recognised by its
-    coefficients whatever its name; see-saw oracle otherwise.
+    The closed form (the tight bound), achieved by optimal_measurements, for
+    the 3x4 expression recognised by its coefficients whatever its name (some
+    states admit better strategies); the see-saw oracle's value otherwise.
     """
     if np.array_equal(expr.coeffs, _EBI_COEFFS):
         return tight_bound(state)
@@ -465,7 +466,7 @@ def max_violation(state: TwoQubitState, expr: BellExpression, seed: int = 7) -> 
 def violation_threshold(
     family: str, expr: BellExpression, tol: float = 1e-6
 ) -> float:
-    """Smallest family parameter whose maximal violation reaches the
+    """Smallest family parameter whose max_violation value reaches the
     classical bound, by bisection on the monotone family.  The bisection
     stops at ``tol`` or once the bracket has no float strictly inside."""
     lo, hi = family_domain(family)

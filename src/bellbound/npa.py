@@ -423,7 +423,7 @@ def min_entropy_curve(
 ) -> list[RandomnessPoint]:
     """Certified-randomness lower bounds along a one-parameter state family.
 
-    The Bell value fed to each randomness SDP is the maximal violation of
+    The Bell value fed to each randomness SDP is the max_violation value of
     the family state: the closed-form tight bound for the 3x4 expression,
     the see-saw oracle otherwise.  Parameters whose violation does not
     exceed the classical bound report zero entropy.

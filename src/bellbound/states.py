@@ -115,8 +115,7 @@ def singlet() -> TwoQubitState:
 def correlation_data(state: TwoQubitState) -> CorrelationData:
     """Extract (r, s, T) with r_i = tr((sigma_i (x) I) rho) and friends."""
     c = np.einsum("abij,ji->ab", _PAULI_PAIRS, state.rho).real
-    # Contiguous copies: the see-saw's einsums over T are slower on a view.
-    return CorrelationData(r=c[1:, 0].copy(), s=c[0, 1:].copy(), t=c[1:, 1:].copy())
+    return CorrelationData(r=c[1:, 0], s=c[0, 1:], t=c[1:, 1:])
 
 
 def state_from_correlation(data: CorrelationData) -> TwoQubitState:

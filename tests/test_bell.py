@@ -280,15 +280,71 @@ class TestClassicalBound:
             classical_bound(chained(13))
 
 
+def einsum_seesaw(state, expr, restarts, seed):
+    """The see-saw as first written, one einsum per step: the reference the
+    matrix-product sweep of seesaw_max_violation is checked against."""
+    t = bell.correlation_data(state).t
+    coeffs = expr.coeffs
+    rng = np.random.default_rng(seed)
+
+    def unit_rows(shape):
+        v = rng.normal(size=shape)
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    alice = unit_rows((restarts, expr.alice_settings, 3))
+    bob = unit_rows((restarts, expr.bob_settings, 3))
+
+    def normalize(v, fallback):
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+        ok = norms > 1e-300
+        return np.where(ok, v / np.where(ok, norms, 1.0), fallback)
+
+    values = np.full(restarts, -np.inf)
+    for _ in range(500):
+        alice = normalize(np.einsum("kl,rlx,yx->rky", coeffs, bob, t), alice)
+        bob = normalize(np.einsum("kl,rkx,xy->rly", coeffs, alice, t), bob)
+        new = np.einsum("kl,rkx,xy,rly->r", coeffs, alice, t, bob)
+        if np.max(np.abs(new - values)) < 1e-12:
+            values = new
+            break
+        values = new
+    return float(np.max(values))
+
+
+def seesaw_probe_states():
+    """Seeded Haar-like mixed, Werner and pure-family states."""
+    rng = np.random.default_rng(2024)
+    mixed = [random_state(rng) for _ in range(6)]
+    werner = [werner_state(p) for p in rng.uniform(0.05, 1.0, size=4)]
+    pure = [pure_state(theta) for theta in rng.uniform(0.0, np.pi / 4, size=4)]
+    return mixed + werner + pure
+
+
 class TestSeesaw:
+    @pytest.mark.parametrize("restarts", [8, 20])
+    @pytest.mark.parametrize("make_expr", [ebi, chsh, lambda: chained(3)])
+    def test_matches_einsum_reference(self, make_expr, restarts):
+        expr = make_expr()
+        for seed, state in enumerate(seesaw_probe_states()):
+            value, strat = seesaw_max_violation(state, expr, restarts, seed)
+            assert abs(value - einsum_seesaw(state, expr, restarts, seed)) <= 1e-12
+            assert abs(expectation(state, expr, strat) - value) <= 1e-12
+
     def test_singlet_reaches_maximum(self):
         value, strat = seesaw_max_violation(singlet(), ebi(), restarts=20, seed=0)
         assert abs(value - 4 * ROOT3) < 1e-8
         assert abs(expectation(singlet(), ebi(), strat) - value) < 1e-12
 
     def test_maximally_mixed_is_zero(self):
-        value, _ = seesaw_max_violation(werner_state(0.0), ebi(), restarts=5, seed=0)
+        value, strat = seesaw_max_violation(werner_state(0.0), ebi(), restarts=5, seed=0)
         assert abs(value) < 1e-12
+        # Every image vanishes, so each vector keeps its seeded start and the
+        # first restart wins the tie.
+        rng = np.random.default_rng(0)
+        starts = [rng.normal(size=(5, n, 3)) for n in (3, 4)]
+        alice, bob = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in starts)
+        assert np.array_equal(strat.alice, alice[0])
+        assert np.array_equal(strat.bob, bob[0])
 
     def test_werner_family_matches_formula(self):
         for p in (0.3, 0.6, 0.9, 1.0):
@@ -356,6 +412,10 @@ class TestBehavior:
         behavior = behavior_from(state, octahedron_cuboid_strategy)
         value = float(np.sum(ebi().coeffs * behavior.correlators()))
         assert abs(value - 4 * ROOT3) <= 1e-10
+
+    def test_rejects_non_finite_table(self):
+        with pytest.raises(OutOfRange):
+            bell.Behavior(table=np.full((1, 1, 2, 2), np.nan))
 
     def test_no_signaling_random(self):
         rng = np.random.default_rng(41)
@@ -428,6 +488,12 @@ class TestStrategySerialization:
     def test_rejects_non_unit(self):
         with pytest.raises(OutOfRange):
             MeasurementStrategy(alice=np.eye(3) * 2.0, bob=np.eye(3))
+
+    def test_rejects_nan_vector(self):
+        alice = np.eye(3)
+        alice[1, 0] = np.nan
+        with pytest.raises(OutOfRange):
+            MeasurementStrategy(alice=alice, bob=np.eye(3))
 
     def test_operator_is_hermitian(self, octahedron_cuboid_strategy):
         op = bell_operator(ebi(), octahedron_cuboid_strategy)
