@@ -106,8 +106,8 @@ class MeasurementStrategy:
 
     def __post_init__(self):
         for label, vecs in (("alice", self.alice), ("bob", self.bob)):
-            if vecs.ndim != 2 or vecs.shape[1] != 3:
-                raise DimensionMismatch(f"{label} vectors must have shape (n, 3)")
+            if vecs.ndim != 2 or vecs.shape[1] != 3 or vecs.shape[0] == 0:
+                raise DimensionMismatch(f"{label} vectors must have shape (n, 3), n >= 1")
             norms = np.linalg.norm(vecs, axis=1)
             if not np.max(np.abs(norms - 1.0)) <= EPS_UNIT:  # NaN fails too
                 raise OutOfRange(f"{label} vectors must be unit within {EPS_UNIT}")
@@ -136,7 +136,7 @@ class Behavior:
 
     def __post_init__(self):
         p = self.table
-        if p.ndim != 4 or p.shape[2:] != (2, 2):
+        if p.ndim != 4 or p.shape[2:] != (2, 2) or 0 in p.shape:
             raise DimensionMismatch(f"behavior table has shape {p.shape}")
         if not np.all(np.isfinite(p)):
             raise OutOfRange("behavior table must be finite")
@@ -202,15 +202,11 @@ def chained(n: int) -> BellExpression:
 
 
 def _check_shapes(expr: BellExpression, strategy: MeasurementStrategy) -> None:
-    if strategy.alice.shape[0] != expr.alice_settings:
+    settings = (strategy.alice.shape[0], strategy.bob.shape[0])
+    if settings != expr.coeffs.shape:
         raise DimensionMismatch(
-            f"strategy has {strategy.alice.shape[0]} Alice settings, "
-            f"expression wants {expr.alice_settings}"
-        )
-    if strategy.bob.shape[0] != expr.bob_settings:
-        raise DimensionMismatch(
-            f"strategy has {strategy.bob.shape[0]} Bob settings, "
-            f"expression wants {expr.bob_settings}"
+            f"strategy has {settings} (Alice, Bob) settings, "
+            f"expression wants {expr.coeffs.shape}"
         )
 
 

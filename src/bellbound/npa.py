@@ -400,17 +400,19 @@ def max_guessing_probability(
 
 @dataclass(frozen=True)
 class RandomnessPoint:
-    """One curve sample: Bell value, max guessing probability, min-entropy."""
+    """One curve sample: a Bell value and the maximal guessing probability
+    there.  The min-entropy -log2 p is derived, so it is +0.0 at p = 1."""
 
     bell_value: float
     guessing_probability: float
-    min_entropy: float
 
     def __post_init__(self):
         if not 0.0 < self.guessing_probability <= 1.0:
             raise ValueError("guessing probability must be in (0, 1]")
-        if abs(self.min_entropy + math.log2(self.guessing_probability)) > 1e-12:
-            raise ValueError("min_entropy must equal -log2(guessing_probability)")
+
+    @property
+    def min_entropy(self) -> float:
+        return 0.0 - math.log2(self.guessing_probability)
 
 
 def min_entropy_curve(
@@ -425,8 +427,10 @@ def min_entropy_curve(
 
     The Bell value fed to each randomness SDP is the max_violation value of
     the family state: the closed-form tight bound for the 3x4 expression,
-    the see-saw oracle otherwise.  Parameters whose violation does not
-    exceed the classical bound report zero entropy.
+    the see-saw oracle otherwise.  Each point holds that value and the
+    maximal guessing probability there, from which its entropy is derived;
+    parameters whose violation does not exceed the classical bound get
+    probability 1, so zero entropy, without an SDP.
     """
     level = _normalize_level(level)
     _check_input_pair(expr, input_pair)
@@ -435,21 +439,11 @@ def min_entropy_curve(
     for param in grid:
         state = _bell.family_state(family, float(param))
         value = _bell.max_violation(state, expr, seed=seed)
-        if value <= cb + 1e-9:
-            points.append(
-                RandomnessPoint(
-                    bell_value=value, guessing_probability=1.0, min_entropy=0.0
-                )
-            )
-            continue
-        guess = max_guessing_probability(expr, value, input_pair, level)
-        points.append(
-            RandomnessPoint(
-                bell_value=value,
-                guessing_probability=guess,
-                min_entropy=-math.log2(guess),
-            )
+        guess = (
+            1.0 if value <= cb + 1e-9
+            else max_guessing_probability(expr, value, input_pair, level)
         )
+        points.append(RandomnessPoint(bell_value=value, guessing_probability=guess))
     return points
 
 

@@ -124,22 +124,18 @@ def _flatten_constraints(constraints, n):
 
     Each group is (js, R, C, V): the constraint indices js and, stacked one
     row per constraint, the row indices, column indices and values of its
-    nonzeros, read off the operator's CSR rows in row-major order."""
+    nonzeros, read off the operator's CSR rows in row-major order.  Dense
+    and sparse constraints are read alike, through ``sp.coo_matrix``."""
     rows_idx, flat_idx, data = [], [], []
     b = np.empty(len(constraints))
     for i, (a, bi) in enumerate(constraints):
         b[i] = bi
         if a.shape != (n, n):
             raise ValueError(f"constraint matrix has shape {a.shape}, expected {(n, n)}")
-        if sp.issparse(a):
-            coo = a.tocoo()
-            r, c, v = coo.row, coo.col, coo.data
-        else:
-            r, c = np.nonzero(a)
-            v = np.asarray(a)[r, c]
-        rows_idx.append(np.full(r.size, i))
-        flat_idx.append(r * n + c)
-        data.append(v)
+        coo = sp.coo_matrix(a)
+        rows_idx.append(np.full(coo.nnz, i))
+        flat_idx.append(coo.row * n + coo.col)
+        data.append(coo.data)
     amat = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(flat_idx))),
         shape=(len(constraints), n * n),
@@ -307,24 +303,26 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = NUMERICAL_FAILURE
             break
 
-        def newton_solve(rhs):
+        a_sinv = amat @ s_inv.ravel()
+        a_xrd = amat @ (x @ rd @ s_inv).ravel()
+
+        def direction(nu, corr):
+            """Newton direction (dx, dy, ds) toward X S = nu I; ``corr`` is
+            the second-order term dX dS of the corrector, zero otherwise."""
+            rhs = b - nu * a_sinv + a_xrd + amat @ (corr @ s_inv).ravel()
             dy = solve_cholesky(ell_b, rhs / diag_scale) / diag_scale
             for _ in range(2):  # refinement against the unscaled system
                 dy += (
                     solve_cholesky(ell_b, (rhs - schur @ dy) / diag_scale)
                     / diag_scale
                 )
-            return dy
-
-        x_rd_sinv = x @ rd @ s_inv
+            ds = rd - (amat_t @ dy).reshape(n, n)
+            ds = 0.5 * (ds + ds.T)
+            dx = nu * s_inv - x - (x @ ds + corr) @ s_inv
+            return 0.5 * (dx + dx.T), dy, ds
 
         # Predictor (affine scaling, target 0).
-        rhs_aff = b + amat @ x_rd_sinv.ravel()
-        dy_a = newton_solve(rhs_aff)
-        ds_a = rd - (amat_t @ dy_a).reshape(n, n)
-        ds_a = 0.5 * (ds_a + ds_a.T)
-        dx_a = -x - x @ ds_a @ s_inv
-        dx_a = 0.5 * (dx_a + dx_a.T)
+        dx_a, _, ds_a = direction(0.0, np.zeros((n, n)))
 
         alpha_p = min(1.0, _max_step(ell_x, dx_a))
         alpha_d = min(1.0, _max_step(ell_s, ds_a))
@@ -333,21 +331,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
             float(np.sum((x + alpha_p * dx_a) * (s + alpha_d * ds_a))) / n,
         )
         sigma = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3))
-        nu = sigma * mu
 
         # Corrector with second-order term dX_a dS_a.
-        cross = dx_a @ ds_a @ s_inv
-        rhs = (
-            b
-            - nu * (amat @ s_inv.ravel())
-            + amat @ x_rd_sinv.ravel()
-            + amat @ cross.ravel()
-        )
-        dy = newton_solve(rhs)
-        ds = rd - (amat_t @ dy).reshape(n, n)
-        ds = 0.5 * (ds + ds.T)
-        dx = nu * s_inv - x - (x @ ds + dx_a @ ds_a) @ s_inv
-        dx = 0.5 * (dx + dx.T)
+        dx, dy, ds = direction(sigma * mu, dx_a @ ds_a)
 
         alpha_p = min(1.0, _STEP_FRACTION * _max_step(ell_x, dx))
         alpha_d = min(1.0, _STEP_FRACTION * _max_step(ell_s, ds))

@@ -134,6 +134,14 @@ class TestExpectation:
     def test_dimension_mismatch(self, octahedron_cuboid_strategy):
         with pytest.raises(DimensionMismatch):
             expectation(singlet(), chsh(), octahedron_cuboid_strategy)
+        bob_only = MeasurementStrategy(alice=np.eye(3)[:2], bob=np.eye(3))
+        with pytest.raises(DimensionMismatch, match=r"\(2, 3\).*\(2, 2\)"):
+            expectation(singlet(), chsh(), bob_only)
+        # An empty settings axis is a shape error, not numpy's reduction error.
+        with pytest.raises(DimensionMismatch):
+            MeasurementStrategy(alice=np.zeros((0, 3)), bob=np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            bell.Behavior(table=np.zeros((0, 1, 2, 2)))
 
 
 class TestTightBound:

@@ -288,12 +288,16 @@ class TestGuessProblemReuse:
 
 class TestRandomnessPoint:
     def test_entropy_identity_enforced(self):
-        pt = RandomnessPoint(bell_value=2.5, guessing_probability=0.5, min_entropy=1.0)
+        # The entropy is derived from the probability, never stored.
+        pt = RandomnessPoint(bell_value=2.5, guessing_probability=0.5)
         assert pt.min_entropy == 1.0
-        with pytest.raises(ValueError):
+        certain = RandomnessPoint(bell_value=2.5, guessing_probability=1.0)
+        assert math.copysign(1.0, certain.min_entropy) == 1.0
+        with pytest.raises(TypeError):
             RandomnessPoint(bell_value=2.5, guessing_probability=0.5, min_entropy=0.9)
-        with pytest.raises(ValueError):
-            RandomnessPoint(bell_value=2.5, guessing_probability=0.0, min_entropy=0.0)
+        for bad in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                RandomnessPoint(bell_value=2.5, guessing_probability=bad)
 
 
 class TestMinEntropyCurve:
@@ -343,11 +347,7 @@ class TestEntropyCrossover:
 
         def pts(entropies):
             return [
-                RandomnessPoint(
-                    bell_value=1.0,
-                    guessing_probability=2.0**-h if h > 0 else 1.0,
-                    min_entropy=float(h),
-                )
+                RandomnessPoint(bell_value=1.0, guessing_probability=2.0**-h)
                 for h in entropies
             ]
 
@@ -360,8 +360,6 @@ class TestEntropyCrossover:
         params = [0.0, 1.0]
 
         def pt(h):
-            return RandomnessPoint(
-                bell_value=1.0, guessing_probability=2.0**-h, min_entropy=h
-            )
+            return RandomnessPoint(bell_value=1.0, guessing_probability=2.0**-h)
 
         assert entropy_crossover(params, [pt(0.1), pt(0.2)], [pt(0.5), pt(0.9)]) is None

@@ -250,6 +250,13 @@ def loop_schur(problem: SdpProblem, x: np.ndarray, s_inv: np.ndarray) -> np.ndar
     return 0.5 * (schur + schur.T)
 
 
+def operator_arrays(problem: SdpProblem) -> list:
+    """Every array of the flattened constraint operator, groups included."""
+    amat = problem._amat
+    groups = [arr for group in problem._groups for arr in group]
+    return [amat.indptr, amat.indices, amat.data, problem._b, *groups]
+
+
 def ebi_problems() -> dict:
     expr = bell.ebi()
     ms = npa._structure_cached(expr.alice_settings, expr.bob_settings, "2")
@@ -283,6 +290,22 @@ class TestSchurAssembly:
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(schur - oracle)) <= 1e-13 * scale
         assert np.array_equal(schur, loop_schur(problem, x, s_inv))
+
+        # Dense and sparse constraints are read alike, down to the iterates.
+        targets = [bi for _, bi in problem.constraints]
+        forms = [
+            SdpProblem(n=n, c=problem.c, constraints=list(zip(mats, targets)))
+            for mats in (dense, [sp.csr_matrix(a) for a in dense])
+        ]
+        expected = operator_arrays(problem)
+        for form in forms:
+            arrays = operator_arrays(form)
+            assert len(arrays) == len(expected)
+            for ours, theirs in zip(arrays, expected):
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        sols = [solve(form) for form in forms]
+        assert sols[0].status == sols[1].status
+        assert sols[0].history == sols[1].history
 
     def test_groups_partition_the_constraints(self, problems):
         for problem in problems.values():
