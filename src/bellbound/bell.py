@@ -446,7 +446,7 @@ def family_domain(family: str) -> tuple[float, float]:
     raise OutOfRange(f"unknown family {family!r}")
 
 
-def max_violation(state: TwoQubitState, expr: BellExpression, seed: int = 7) -> float:
+def max_violation(state: TwoQubitState, expr: BellExpression, seed: int = 0) -> float:
     """An achievable Bell value of ``expr`` for ``state``, not its maximum.
 
     The closed form (the tight bound), achieved by optimal_measurements, for

@@ -219,11 +219,10 @@ class _ReducedSdp:
     Its value is ``const`` plus the optimum of ``problem``.  With a Bell
     constraint only F0 and the constant term depend on the Bell value: at
     value I they are ``problem.c + t * f0_step`` and ``const + const_step * t``
-    with t = (I - bell_const) / t_scale, the value of the eliminated class
-    (mode 'eq', t_scale its Bell coefficient) or of the slack corner (mode
-    'ge', t_scale -1); :meth:`at` fills them in.  ``problem`` carries the
-    constraints, validated once, and the identity-class indicator as its
-    objective."""
+    with t = (I - bell_const) / t_scale the value of the eliminated class,
+    t_scale its Bell coefficient; :meth:`at` fills them in.  ``problem``
+    carries the constraints, validated once, and the identity-class
+    indicator as its objective."""
 
     problem: SdpProblem
     const: float
@@ -239,20 +238,19 @@ class _ReducedSdp:
         return self.problem.with_objective(f0), self.const + self.const_step * t
 
 
-def _reduced_sdp(ms: MomentStructure, objective, bell=None, mode: str = "eq"):
+def _reduced_sdp(ms: MomentStructure, objective, bell=None):
     """Reduced formulation of max objective(y) over the moments y of ``ms``.
 
     ``objective`` and ``bell`` are (class vector, constant) pairs.  The
     free moments z are the variables: the normalization <1> = 1 and, with
-    ``bell`` in mode 'eq', the Bell equality are eliminated by
-    substitution, leaving  max w.z  s.t.  F0 + sum_i z_i F_i >= 0.  It is
-    handed to the solver as the dual of  min tr(F0 X)  s.t.
-    tr(-F_i X) = w_i,  so the solver's primal side bounds the maximum from
-    above and its dual side is attained by a moment matrix.  Putting the
-    compact moment body on the dual side keeps the value convergent even
-    when the Bell value is pinned at the relaxation's own maximum, where
-    the feasible set has no interior.  Mode 'ge' keeps the Bell value as a
-    slack inequality in an extra 1x1 diagonal block instead.
+    ``bell``, the Bell equality are eliminated by substitution (the latter
+    through the class of largest Bell weight), leaving  max w.z  s.t.
+    F0 + sum_i z_i F_i >= 0.  It is handed to the solver as the dual of
+    min tr(F0 X)  s.t.  tr(-F_i X) = w_i,  so the solver's primal side
+    bounds the maximum from above and its dual side is attained by a moment
+    matrix.  Putting the compact moment body on the dual side keeps the
+    value convergent even when the Bell value is pinned at the relaxation's
+    own maximum, where the feasible set has no interior.
 
     Every F_i is a combination of columns of ``ms.class_indicator``, so
     with every class free M(z) = F0 + sum_i z_i F_i is z[entry_class].
@@ -267,39 +265,22 @@ def _reduced_sdp(ms: MomentStructure, objective, bell=None, mode: str = "eq"):
     if bell is None:
         f, w = cols[:, free], h[free]
     else:
+        # Eliminate one Bell-carrying class: y_beta = (target - sum g_c y_c)/g_beta.
         g, g_const = bell
-        extra = dict(bell_const=g_const + g[identity])
-        if mode == "eq":
-            # Eliminate one Bell-carrying class: y_beta = (target - sum g_c y_c)/g_beta.
-            weights = np.abs(g)
-            weights[identity] = 0.0
-            beta = int(np.argmax(weights))
-            if abs(g[beta]) < 1e-12:
-                raise ValueError("Bell functional carries no moment dependence")
-            free = free[free != beta]
-            f = cols[:, free] - cols[:, [beta]] @ sp.csr_matrix(g[free] / g[beta])
-            w = h[free] - h[beta] * g[free] / g[beta]
-            extra.update(
-                f0_step=cols[:, beta].toarray().reshape(n, n),
-                const_step=h[beta],
-                t_scale=g[beta],
-            )
-        else:
-            # Slack block carries Bell(z) - I >= 0: entry r of the n x n
-            # moment matrix moves to r + r // n in the (n+1) x (n+1) one.
-            n += 1
-            cols = sp.csc_matrix(
-                (cols.data, cols.indices + cols.indices // ms.size, cols.indptr),
-                shape=(n * n, ms.class_count),
-            )
-            corner = sp.csc_matrix(
-                (g[free], (np.full(free.size, n * n - 1), np.arange(free.size))),
-                shape=(n * n, free.size),
-            )
-            f, w = cols[:, free] + corner, h[free]
-            f0_step = np.zeros((n, n))
-            f0_step[-1, -1] = 1.0
-            extra.update(f0_step=f0_step, t_scale=-1.0)
+        weights = np.abs(g)
+        weights[identity] = 0.0
+        beta = int(np.argmax(weights))
+        if abs(g[beta]) < 1e-12:
+            raise ValueError("Bell functional carries no moment dependence")
+        free = free[free != beta]
+        f = cols[:, free] - cols[:, [beta]] @ sp.csr_matrix(g[free] / g[beta])
+        w = h[free] - h[beta] * g[free] / g[beta]
+        extra = dict(
+            f0_step=cols[:, beta].toarray().reshape(n, n),
+            const_step=h[beta],
+            bell_const=g_const + g[identity],
+            t_scale=g[beta],
+        )
     f = f.tocsc()
     constraints = []
     for i in range(f.shape[1]):
@@ -337,14 +318,14 @@ _guess_cache: dict = {}
 
 
 def _cached_guess_problem(expr: BellExpression, level: str, x: int, y: int,
-                          a: int, b: int, mode: str) -> _ReducedSdp:
+                          a: int, b: int) -> _ReducedSdp:
     """The guessing SDP of p(ab|xy), built once per expression and level."""
-    key = _expr_cache_key(expr, level) + (x, y, a, b, mode)
+    key = _expr_cache_key(expr, level) + (x, y, a, b)
     guess = _guess_cache.get(key)
     if guess is None:
         ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
         guess = _reduced_sdp(
-            ms, _prob_functional(ms, expr, x, y, a, b), _bell_functional(ms, expr), mode
+            ms, _prob_functional(ms, expr, x, y, a, b), _bell_functional(ms, expr)
         )
         _guess_cache[key] = guess
     return guess
@@ -388,9 +369,8 @@ def max_guessing_probability(
     best = 0.0
     for a in range(2):
         for b in range(2):
-            problem, const_term = _cached_guess_problem(
-                expr, level, x, y, a, b, "eq"
-            ).at(bell_value)
+            guess = _cached_guess_problem(expr, level, x, y, a, b)
+            problem, const_term = guess.at(bell_value)
             value = const_term + _attained_side_value(
                 solve(problem), f"guessing probability p({a}{b}|{x}{y})"
             )
@@ -465,13 +445,12 @@ CURVE_CSV_HEADER = "param,bell_value,guessing_probability,min_entropy_bits"
 
 def curve_csv(params, points) -> str:
     """CSV rows param,bell_value,guessing_probability,min_entropy_bits at 12
-    significant digits.  The entropy column is recomputed from the rounded
-    probability column, so each row satisfies
+    significant digits.  The entropy column is the min_entropy of the point
+    with its probability rounded as printed, so each row satisfies
     min_entropy = -log2(guessing_probability) as printed."""
     lines = [CURVE_CSV_HEADER]
     for param, pt in zip(params, points):
         text = f"{pt.guessing_probability:.12g}"
-        rounded = float(text)
-        entropy = -math.log2(rounded) if rounded < 1.0 else 0.0
+        entropy = RandomnessPoint(pt.bell_value, float(text)).min_entropy
         lines.append(f"{float(param):.12g},{pt.bell_value:.12g},{text},{entropy:.12g}")
     return "\n".join(lines) + "\n"

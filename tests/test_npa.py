@@ -18,7 +18,7 @@ from bellbound import (
 )
 from bellbound import npa
 from bellbound.errors import InfeasibleValue, OutOfRange, UnsupportedLevel
-from bellbound.bell import BellExpression
+from bellbound.bell import BellExpression, family_state, max_violation
 from bellbound.npa import curve_csv
 
 ROOT2 = np.sqrt(2.0)
@@ -28,19 +28,6 @@ ROOT3 = np.sqrt(3.0)
 def scenario(k: int, l: int) -> BellExpression:
     """An all-zero expression: only its numbers of settings matter."""
     return BellExpression("zero", np.zeros((k, l)))
-
-
-def ge_guessing_probability(expr, value, level="2"):
-    """max_guessing_probability with the Bell value as a lower bound ('ge'
-    form, reached only through the problem cache)."""
-    best = 0.0
-    for a in range(2):
-        for b in range(2):
-            problem, const = npa._cached_guess_problem(
-                expr, level, 0, 0, a, b, "ge"
-            ).at(value)
-            best = max(best, const + solve(problem).dual_obj)
-    return min(1.0, max(0.25, best))
 
 
 class TestMomentStructure:
@@ -91,12 +78,10 @@ class TestMomentStructure:
         prob = npa._prob_functional(ms, ebi(), 0, 0, 0, 0)
         budget = ms.size * (ms.size + 1) // 2
         tsirelson = npa._reduced_sdp(ms, bell).problem
-        eq = npa._reduced_sdp(ms, prob, bell, "eq").problem
-        ge = npa._reduced_sdp(ms, prob, bell, "ge").problem
+        guess = npa._reduced_sdp(ms, prob, bell).problem
         assert len(tsirelson.constraints) == ms.class_count - 1 == 301
-        assert len(eq.constraints) == ms.class_count - 2
-        assert len(ge.constraints) == ms.class_count - 1
-        for problem in (tsirelson, eq, ge):
+        assert len(guess.constraints) == ms.class_count - 2
+        for problem in (tsirelson, guess):
             assert len(problem.constraints) <= budget
 
     @pytest.mark.parametrize("level", ["1", "1+AB", "2"])
@@ -232,11 +217,6 @@ class TestGuessingProbability:
         for lo, hi in zip(values[1:], values[:-1]):
             assert lo <= hi + 1e-5
 
-    def test_ge_variant_agrees(self):
-        eq = max_guessing_probability(chsh(), 2.5, (0, 0), 2)
-        ge = ge_guessing_probability(chsh(), 2.5)
-        assert abs(eq - ge) <= 1e-6
-
     def test_infeasible_value(self):
         with pytest.raises(InfeasibleValue):
             max_guessing_probability(chsh(), 3.5, (0, 0), 2)
@@ -258,10 +238,9 @@ class TestGuessingProbability:
 
 
 class TestGuessProblemReuse:
-    @pytest.mark.parametrize("mode", ["eq", "ge"])
     @pytest.mark.parametrize("level", ["1+AB", "2"])
     @pytest.mark.parametrize("expr", [ebi(), chsh()], ids=["ebi", "chsh"])
-    def test_reused_problem_matches_fresh_build(self, expr, level, mode):
+    def test_reused_problem_matches_fresh_build(self, expr, level):
         ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
         bell = npa._bell_functional(ms, expr)
         cb, qmax = classical_bound(expr), tsirelson_bound(expr, level)
@@ -270,19 +249,16 @@ class TestGuessProblemReuse:
             best = 0.0
             for a in range(2):
                 for b in range(2):
-                    reused = npa._cached_guess_problem(expr, level, 0, 0, a, b, mode)
+                    reused = npa._cached_guess_problem(expr, level, 0, 0, a, b)
                     problem, const = reused.at(value)
                     fresh, fresh_const = npa._reduced_sdp(
-                        ms, npa._prob_functional(ms, expr, 0, 0, a, b), bell, mode
+                        ms, npa._prob_functional(ms, expr, 0, 0, a, b), bell
                     ).at(value)
                     assert problem._amat is reused.problem._amat
                     assert np.array_equal(problem.c, fresh.c)
                     assert const == fresh_const
                     best = max(best, fresh_const + solve(fresh).dual_obj)
-            if mode == "eq":
-                reused_value = max_guessing_probability(expr, value, (0, 0), level)
-            else:
-                reused_value = ge_guessing_probability(expr, value, level)
+            reused_value = max_guessing_probability(expr, value, (0, 0), level)
             assert abs(reused_value - min(1.0, max(0.25, best))) <= 1e-12
 
 
@@ -323,22 +299,28 @@ class TestMinEntropyCurve:
             with pytest.raises(OutOfRange):
                 min_entropy_curve("werner-p", [0.0, 0.5], chsh(), 2, input_pair=pair)
 
-    def test_entropy_identity_along_curve(self):
-        points = min_entropy_curve(
-            "werner-p", np.linspace(0.9, 1.0, 5), chsh(), 2
-        )
-        for pt in points:
-            assert abs(pt.min_entropy + math.log2(pt.guessing_probability)) <= 1e-12
+    def test_seesaw_seed_default_is_shared(self):
+        # See-saw seeds 0 and 7 give Bell values 1.3e-14 apart at this state.
+        state = family_state("pure-theta", 0.6)
+        pt = min_entropy_curve("pure-theta", [0.6], chsh(), "1")[0]
+        assert pt.bell_value == max_violation(state, chsh())
 
     def test_csv_format(self):
-        params = [0.9, 1.0]
+        # Werner p = 0.5 does not violate CHSH, so its row has p = 1.
+        params = [0.5, 0.9, 1.0]
         points = min_entropy_curve("werner-p", params, chsh(), 2)
         text = curve_csv(params, points)
         lines = text.strip().split("\n")
         assert lines[0] == "param,bell_value,guessing_probability,min_entropy_bits"
-        assert len(lines) == 3
-        fields = lines[2].split(",")
+        assert len(lines) == 4
+        fields = lines[3].split(",")
         assert abs(float(fields[1]) - 2 * ROOT2) < 1e-9
+        assert lines[1].split(",")[2:] == ["1", "0"]
+        for row in lines[1:]:
+            _, _, prob, bits = row.split(",")
+            # The identity holds for the printed digits, with no "-0".
+            assert float(bits) == float(f"{-math.log2(float(prob)):.12g}")
+            assert not bits.startswith("-")
 
 
 class TestEntropyCrossover:

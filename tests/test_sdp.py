@@ -214,7 +214,7 @@ class TestFactorizations:
             problem = gram_problem()
         else:
             expr = bell.ebi()
-            guess = npa._cached_guess_problem(expr, "2", 0, 0, 0, 0, "eq")
+            guess = npa._cached_guess_problem(expr, "2", 0, 0, 0, 0)
             problem, _ = guess.at(0.9 * npa.tsirelson_bound(expr, "2"))
         seen = collections.Counter()
         cholesky = np.linalg.cholesky
@@ -260,10 +260,31 @@ def operator_arrays(problem: SdpProblem) -> list:
 def ebi_problems() -> dict:
     expr = bell.ebi()
     ms = npa._structure_cached(expr.alice_settings, expr.bob_settings, "2")
-    problems = {"tsirelson": npa._reduced_sdp(ms, npa._bell_functional(ms, expr)).problem}
-    for mode in ("eq", "ge"):
-        problems[mode] = npa._cached_guess_problem(expr, "2", 0, 0, 0, 0, mode).problem
-    return problems
+    return {
+        "tsirelson": npa._reduced_sdp(ms, npa._bell_functional(ms, expr)).problem,
+        "eq": npa._cached_guess_problem(expr, "2", 0, 0, 0, 0).problem,
+    }
+
+
+def corner_problem() -> SdpProblem:
+    """max p(00|00) over the CHSH level-1 moments with CHSH >= 2.7 held by
+    a 1x1 slack block: block-diagonal, with constraints that reach outside
+    the moment block into the corner and constraints that do not."""
+    expr = bell.chsh()
+    ms = npa._structure_cached(expr.alice_settings, expr.bob_settings, "1")
+    g, g_const = npa._bell_functional(ms, expr)
+    h, _ = npa._prob_functional(ms, expr, 0, 0, 0, 0)
+    n = ms.size + 1
+    c = np.zeros((n, n))
+    c[0, 0] = 1.0  # the identity class
+    c[-1, -1] = g_const + g[0] - 2.7
+    constraints = []
+    for cid in range(1, ms.class_count):
+        a = np.zeros((n, n))
+        a[:-1, :-1] = np.where(ms.entry_class == cid, -1.0, 0.0)
+        a[-1, -1] = -g[cid]
+        constraints.append((sp.csr_matrix(a), h[cid]))
+    return SdpProblem(n=n, c=c, constraints=constraints)
 
 
 class TestSchurAssembly:
@@ -271,9 +292,9 @@ class TestSchurAssembly:
     def problems(self):
         rng = np.random.default_rng(8)
         return {"gram": gram_problem(), "engineered": engineered_problem(rng)[0],
-                **ebi_problems()}
+                "corner": corner_problem(), **ebi_problems()}
 
-    @pytest.mark.parametrize("name", ["gram", "engineered", "tsirelson", "eq", "ge"])
+    @pytest.mark.parametrize("name", ["gram", "engineered", "corner", "tsirelson", "eq"])
     def test_matches_dense_trace_oracle(self, problems, name):
         problem = problems[name]
         n, m = problem.n, len(problem.constraints)
