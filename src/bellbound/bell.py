@@ -170,7 +170,9 @@ class TightnessReport:
     bound_gap: float
 
 
-# Coefficients of the 3x4 expression; max_violation recognises it by them.
+# Coefficients of the 3x4 expression and of CHSH; max_violation recognises
+# them by these tables.
+_CHSH_COEFFS = np.array([[1.0, 1.0], [1.0, -1.0]])
 _EBI_COEFFS = np.array(
     [
         [1.0, 1.0, -1.0, -1.0],
@@ -185,7 +187,7 @@ def ebi() -> BellExpression:
 
 
 def chsh() -> BellExpression:
-    return BellExpression("chsh", np.array([[1.0, 1.0], [1.0, -1.0]]))
+    return BellExpression("chsh", _CHSH_COEFFS)
 
 
 def chained(n: int) -> BellExpression:
@@ -447,14 +449,19 @@ def family_domain(family: str) -> tuple[float, float]:
 
 
 def max_violation(state: TwoQubitState, expr: BellExpression, seed: int = 0) -> float:
-    """An achievable Bell value of ``expr`` for ``state``, not its maximum.
+    """An achievable Bell value of ``expr`` for ``state``, not always its maximum.
 
-    The closed form (the tight bound), achieved by optimal_measurements, for
-    the 3x4 expression recognised by its coefficients whatever its name (some
-    states admit better strategies); the see-saw oracle's value otherwise.
+    Closed forms, recognised by the coefficient table whatever the name:
+    the tight bound for the 3x4 expression, achieved by optimal_measurements
+    (some states admit better strategies), and for CHSH its maximum
+    2 sqrt(t1^2 + t2^2) over the two largest singular values of T
+    (Horodecki, Phys. Lett. A 200 (1995)); the seeded see-saw otherwise.
     """
     if np.array_equal(expr.coeffs, _EBI_COEFFS):
         return tight_bound(state)
+    if np.array_equal(expr.coeffs, _CHSH_COEFFS):
+        t1, t2, _ = np.linalg.svd(correlation_data(state).t, compute_uv=False)
+        return 2.0 * float(np.hypot(t1, t2))
     value, _ = seesaw_max_violation(state, expr, restarts=8, seed=seed)
     return abs(value)
 

@@ -38,4 +38,4 @@ class InfeasibleValue(BellboundError):
 
 
 class SolverError(BellboundError):
-    """An SDP solve did not reach the accuracy the caller requires."""
+    """An SDP solve gave no finite bound."""

@@ -17,6 +17,11 @@ per moment structure (see :func:`_reduced_sdp`).  Every basis starts with
 1, P_0..P_{k-1}, Q_0..Q_{l-1}, so the classes of the first-order moments
 <P_x>, <Q_y> and <P_x Q_y> are read straight off ``entry_class``.
 
+Every value is read from the upper-bounding side through one certificate,
+:func:`~bellbound.sdp.certified_upper_bound`, whatever the solver status.
+Within 1e-6 of the Tsirelson bound the guessing SDP is the Lagrangian form
+max p(ab|xy) + lam (Bell - I) instead of the Bell equality.
+
 Observables are encoded as A = 2 P - I, so correlators expand as
 <A_x B_y> = 4 <P_x Q_y> - 2 <P_x> - 2 <Q_y> + 1, and outcome
 probabilities as p(00|xy) = <P_x Q_y>, p(01|xy) = <P_x> - <P_x Q_y>, etc.
@@ -25,7 +30,7 @@ probabilities as p(00|xy) = <P_x Q_y>, p(01|xy) = <P_x> - <P_x Q_y>, etc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -33,14 +38,14 @@ import scipy.sparse as sp
 
 from . import bell as _bell
 from .bell import BellExpression, classical_bound
-from .errors import InfeasibleValue, OutOfRange, SolverError, UnsupportedLevel
-from .sdp import MAX_ITERATIONS, OPTIMAL, SdpProblem, SdpSolution, solve
+from .errors import InfeasibleValue, OutOfRange, UnsupportedLevel
+from .sdp import SdpProblem, certified_upper_bound, solve
 
 LEVELS = ("1", "1+AB", "2")
 
-# Accuracy an SDP solve must reach before its value is trusted here.
-_ACCEPT_GAP = 1e-6
-_ACCEPT_RES = 1e-6
+# Multipliers of the Lagrangian guessing form used at the relaxation's
+# maximal Bell value, where the equality form has no interior.
+_ENDPOINT_LAMBDAS = (1e3, 2e3)
 
 
 @dataclass(frozen=True)
@@ -186,27 +191,6 @@ def _prob_functional(ms: MomentStructure, expr: BellExpression, x: int, y: int,
     return h, float(a * b)
 
 
-def _solver_error(sol: SdpSolution, what: str) -> SolverError:
-    return SolverError(
-        f"{what}: solver ended with status {sol.status} "
-        f"(gap {sol.gap:.2e}, residuals {sol.primal_residual:.2e}/"
-        f"{sol.dual_residual:.2e})"
-    )
-
-
-def _certified_upper_value(sol: SdpSolution, what: str) -> float:
-    """Upper-bound side of a reduced-form maximization: the primal objective."""
-    rel_gap = abs(sol.gap) / (1.0 + abs(sol.primal_obj) + abs(sol.dual_obj))
-    if sol.status == OPTIMAL or (
-        sol.status == MAX_ITERATIONS
-        and rel_gap <= _ACCEPT_GAP
-        and sol.primal_residual <= _ACCEPT_RES
-        and sol.dual_residual <= _ACCEPT_RES
-    ):
-        return sol.primal_obj
-    raise _solver_error(sol, what)
-
-
 def _expr_cache_key(expr: BellExpression, level: str):
     # The shape belongs in the key: a 2x3 and a 3x2 table can share bytes.
     return expr.coeffs.shape, level, expr.coeffs.tobytes()
@@ -220,9 +204,9 @@ class _ReducedSdp:
     constraint only F0 and the constant term depend on the Bell value: at
     value I they are ``problem.c + t * f0_step`` and ``const + const_step * t``
     with t = (I - bell_const) / t_scale the value of the eliminated class,
-    t_scale its Bell coefficient; :meth:`at` fills them in.  ``problem``
-    carries the constraints, validated once, and the identity-class
-    indicator as its objective."""
+    t_scale its Bell coefficient; :meth:`at` fills them in (only the
+    constant, without ``f0_step``).  ``problem`` carries the constraints,
+    validated once, and the identity-class indicator as its objective."""
 
     problem: SdpProblem
     const: float
@@ -234,8 +218,10 @@ class _ReducedSdp:
     def at(self, bell_value: float) -> tuple[SdpProblem, float]:
         """The problem and its constant term at the given Bell value."""
         t = (bell_value - self.bell_const) / self.t_scale
-        f0 = self.problem.c + t * self.f0_step
-        return self.problem.with_objective(f0), self.const + self.const_step * t
+        problem = self.problem
+        if self.f0_step is not None:
+            problem = problem.with_objective(problem.c + t * self.f0_step)
+        return problem, self.const + self.const_step * t
 
 
 def _reduced_sdp(ms: MomentStructure, objective, bell=None):
@@ -246,11 +232,12 @@ def _reduced_sdp(ms: MomentStructure, objective, bell=None):
     ``bell``, the Bell equality are eliminated by substitution (the latter
     through the class of largest Bell weight), leaving  max w.z  s.t.
     F0 + sum_i z_i F_i >= 0.  It is handed to the solver as the dual of
-    min tr(F0 X)  s.t.  tr(-F_i X) = w_i,  so the solver's primal side
-    bounds the maximum from above and its dual side is attained by a moment
-    matrix.  Putting the compact moment body on the dual side keeps the
-    value convergent even when the Bell value is pinned at the relaxation's
-    own maximum, where the feasible set has no interior.
+    min tr(F0 X)  s.t.  tr(-F_i X) = w_i,  so the solver's dual side is a
+    moment vector z and the value is read from its primal side, through
+    :func:`~bellbound.sdp.certified_upper_bound`.  With the Bell value
+    pinned at the relaxation's maximum the feasible set has no interior and
+    that bound is useless; there the caller passes h + lam g and no
+    ``bell`` (the Lagrangian form), whose value minus lam I bounds max h.
 
     Every F_i is a combination of columns of ``ms.class_indicator``, so
     with every class free M(z) = F0 + sum_i z_i F_i is z[entry_class].
@@ -296,6 +283,11 @@ def _reduced_sdp(ms: MomentStructure, objective, bell=None):
     return _ReducedSdp(problem=problem, const=h_const + h[identity], **extra)
 
 
+def _certified_value(problem: SdpProblem, const: float) -> float:
+    """``const`` plus the certified upper bound of one solve of ``problem``."""
+    return const + certified_upper_bound(problem, solve(problem))
+
+
 _tsirelson_cache: dict = {}
 
 
@@ -307,9 +299,7 @@ def tsirelson_bound(expr: BellExpression, level) -> float:
         return _tsirelson_cache[key]
     ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
     sdp = _reduced_sdp(ms, _bell_functional(ms, expr))
-    value = sdp.const + _certified_upper_value(
-        solve(sdp.problem), f"tsirelson_bound({expr.name}, {level})"
-    )
+    value = _certified_value(sdp.problem, sdp.const)
     _tsirelson_cache[key] = value
     return value
 
@@ -318,26 +308,25 @@ _guess_cache: dict = {}
 
 
 def _cached_guess_problem(expr: BellExpression, level: str, x: int, y: int,
-                          a: int, b: int) -> _ReducedSdp:
-    """The guessing SDP of p(ab|xy), built once per expression and level."""
-    key = _expr_cache_key(expr, level) + (x, y, a, b)
+                          a: int, b: int, lam: float | None = None) -> _ReducedSdp:
+    """The guessing SDP of p(ab|xy), built once per expression and level:
+    the Bell value pinned by equality, or with ``lam`` the Lagrangian form
+    max p(ab|xy) + lam (Bell - I), in which I enters only the constant."""
+    key = _expr_cache_key(expr, level) + (x, y, a, b, lam)
     guess = _guess_cache.get(key)
     if guess is None:
         ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
-        guess = _reduced_sdp(
-            ms, _prob_functional(ms, expr, x, y, a, b), _bell_functional(ms, expr)
-        )
+        h, h_const = _prob_functional(ms, expr, x, y, a, b)
+        g, g_const = _bell_functional(ms, expr)
+        if lam is None:
+            guess = _reduced_sdp(ms, (h, h_const), (g, g_const))
+        else:
+            guess = replace(
+                _reduced_sdp(ms, (h + lam * g, h_const + lam * g_const)),
+                const_step=-lam,
+            )
         _guess_cache[key] = guess
     return guess
-
-
-def _attained_side_value(sol: SdpSolution, what: str) -> float:
-    """Value read off the solver's dual side, which carries the moment body."""
-    if sol.status == OPTIMAL or (
-        sol.status == MAX_ITERATIONS and sol.dual_residual <= 1e-7
-    ):
-        return sol.dual_obj
-    raise _solver_error(sol, what)
 
 
 def _check_input_pair(expr: BellExpression, input_pair: tuple[int, int]) -> None:
@@ -352,10 +341,10 @@ def max_guessing_probability(
     input_pair: tuple[int, int] = (0, 0),
     level="2",
 ) -> float:
-    """Largest p(ab|xy) over the relaxation at the given Bell value.
-
-    Solves one SDP per outcome pair (a, b), with the Bell value as an
-    equality, and returns the maximum."""
+    """Certified upper bound on the largest p(ab|xy) over the relaxation at
+    Bell value I: the maximum over outcomes (a, b) of one Bell-pinned SDP
+    each, or, within 1e-6 of the relaxation's maximum |I|, of the smaller
+    Lagrangian bound over ``_ENDPOINT_LAMBDAS`` signed like I."""
     level = _normalize_level(level)
     _check_input_pair(expr, input_pair)
     x, y = input_pair
@@ -366,13 +355,18 @@ def max_guessing_probability(
             f"|I| = {abs(bell_value):.6f} exceeds the level-{level} bound {qmax:.6f}"
         )
 
+    if abs(bell_value) >= qmax - 1e-6:
+        forms = [math.copysign(lam, bell_value) for lam in _ENDPOINT_LAMBDAS]
+    else:
+        forms = [None]
     best = 0.0
     for a in range(2):
         for b in range(2):
-            guess = _cached_guess_problem(expr, level, x, y, a, b)
-            problem, const_term = guess.at(bell_value)
-            value = const_term + _attained_side_value(
-                solve(problem), f"guessing probability p({a}{b}|{x}{y})"
+            value = min(
+                _certified_value(
+                    *_cached_guess_problem(expr, level, x, y, a, b, lam).at(bell_value)
+                )
+                for lam in forms
             )
             best = max(best, value)
     return float(min(1.0, max(0.25, best)))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NotPositiveDefinite
+from .errors import NotPositiveDefinite, SolverError
 from .linalg import cholesky_spd, solve_cholesky, solve_lower
 
 OPTIMAL = "optimal"
@@ -361,6 +361,28 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dual_residual=final["dual_residual"],
         history=history,
     )
+
+
+def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
+    """tr(C X+) + ||b - A vec(X+)||_1, X+ the solution's X with its
+    eigenvalues clipped at 0: an upper bound on b.y for every dual-feasible
+    y with |y_i| <= 1, since b.y = tr(C X+) - tr(S X+) + y.(b - A vec(X+))
+    with S PSD (Jansen, Chaykin & Keil, SIAM J. Numer. Anal. 46 (2007)).
+    Every moment vector is such a y.  A poor X gives a loose bound, not a
+    wrong one, so the status is not read; rounding in this evaluation is
+    not accounted for.  Raises SolverError if the bound is not finite."""
+    bound = np.nan
+    if np.all(np.isfinite(solution.x)):
+        w, v = np.linalg.eigh(0.5 * (solution.x + solution.x.T))
+        x_plus = (v * np.clip(w, 0.0, None)) @ v.T
+        residual = problem._b - problem._amat @ x_plus.ravel()
+        bound = float(np.sum(problem.c * x_plus) + np.sum(np.abs(residual)))
+    if not np.isfinite(bound):
+        raise SolverError(
+            f"no finite bound: solver ended with status {solution.status} "
+            f"after {solution.iterations} iterations"
+        )
+    return bound
 
 
 def gram_problem() -> SdpProblem:

@@ -5,13 +5,23 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from bellbound import SdpProblem, bell, dual_certificate_check, gram_problem, npa, solve
+from bellbound import (
+    SdpProblem,
+    SdpSolution,
+    bell,
+    dual_certificate_check,
+    gram_problem,
+    npa,
+    solve,
+)
+from bellbound.errors import SolverError
 from bellbound.sdp import (
     MAX_ITERATIONS,
     NUMERICAL_FAILURE,
     OPTIMAL,
     _max_step,
     _schur_complement,
+    certified_upper_bound,
 )
 
 
@@ -127,6 +137,51 @@ class TestGramProblem:
         assert not feasible and abs(min_eig + 0.5) < 1e-12
         min_eig, feasible = dual_certificate_check(-np.ones(4))
         assert feasible and abs(min_eig - 0.5) < 1e-12
+
+
+class TestCertifiedUpperBound:
+    """The Gram problem's optimum -2 is attained at y = -1/2, inside the
+    box |y_i| <= 1, so every certificate must stay at or above -2."""
+
+    @staticmethod
+    def handed(x, y):
+        """A solution record holding x and y, with the objectives they give."""
+        problem = gram_problem()
+        return SdpSolution(
+            x=x, y=y, s=np.zeros((4, 4)), primal_obj=float(np.sum(problem.c * x)),
+            dual_obj=float(problem._b @ y), gap=0.0, status=MAX_ITERATIONS,
+            iterations=0, primal_residual=0.0, dual_residual=0.0,
+        )
+
+    def test_bound_at_the_solution(self):
+        problem = gram_problem()
+        bound = certified_upper_bound(problem, solve(problem))
+        assert -2.0 <= bound <= -2.0 + 1e-7
+
+    def test_perturbed_iterates_stay_above_the_optimum(self):
+        problem = gram_problem()
+        x_opt = solve(problem).x
+        rng = np.random.default_rng(17)
+        below = outside = 0
+        for scale in (1e-6, 1e-3, 0.1, 1.0):
+            for _ in range(25):
+                noise = rng.normal(size=(4, 4)) * scale
+                # Lowering the off-diagonal pushes tr(C X) below -2 and
+                # takes X out of the cone; the noise breaks the constraints.
+                shift = rng.uniform(0.0, scale)
+                x = x_opt - shift * (np.ones((4, 4)) - np.eye(4)) + (noise + noise.T) / 2
+                y = -0.5 - rng.uniform(0.0, scale, size=4)
+                sol = self.handed(x, y)
+                assert certified_upper_bound(problem, sol) >= -2.0
+                below += sol.primal_obj < -2.0 and sol.dual_obj < -2.0
+                outside += np.linalg.eigvalsh(x)[0] < 0.0
+        # Either objective read as the value would have failed above.
+        assert below >= 50 and outside >= 50
+
+    def test_non_finite_iterate_raises(self):
+        x = np.full((4, 4), np.nan)
+        with pytest.raises(SolverError, match="max_iterations"):
+            certified_upper_bound(gram_problem(), self.handed(x, np.zeros(4)))
 
 
 class TestSolverInvariants:
