@@ -226,7 +226,7 @@ def cmd_randomness(args: argparse.Namespace) -> int:
     start, stop, steps = args.grid
     lo, hi = bell.family_domain(family)
     start, stop = _clamp(start, lo, hi), _clamp(stop, lo, hi)
-    if start < lo or stop > hi:
+    if not (lo <= start <= hi and lo <= stop <= hi):
         raise BellboundError(
             f"grid [{start}, {stop}] outside family domain [{lo:.6g}, {hi:.6g}]"
         )

@@ -15,12 +15,15 @@ classes are the variables, M(z) = z[entry_class], and every constraint
 matrix is a sparse combination of columns of one class-indicator operator
 per moment structure (see :func:`_reduced_sdp`).  Every basis starts with
 1, P_0..P_{k-1}, Q_0..Q_{l-1}, so the classes of the first-order moments
-<P_x>, <Q_y> and <P_x Q_y> are read straight off ``entry_class``.
+<P_x>, <Q_y> and <P_x Q_y> are read straight off ``entry_class``.  The
+objective, input pair, outcome, Bell value and multiplier set only the
+targets, F0 and the constant, so each expression and level builds two
+operators: one Bell-free, one with the Bell value pinned by equality.
 
 Every value is read from the upper-bounding side through one certificate,
 :func:`~bellbound.sdp.certified_upper_bound`, whatever the solver status.
-Within 1e-6 of the Tsirelson bound the guessing SDP is the Lagrangian form
-max p(ab|xy) + lam (Bell - I) instead of the Bell equality.
+Within 1e-6 of the Tsirelson bound the guessing SDP is the Bell-free
+Lagrangian form max p(ab|xy) + lam (Bell - I) instead of the Bell equality.
 
 Observables are encoded as A = 2 P - I, so correlators expand as
 <A_x B_y> = 4 <P_x Q_y> - 2 <P_x> - 2 <Q_y> + 1, and outcome
@@ -30,7 +33,7 @@ probabilities as p(00|xy) = <P_x Q_y>, p(01|xy) = <P_x> - <P_x Q_y>, etc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -200,60 +203,64 @@ def _expr_cache_key(expr: BellExpression, level: str):
 class _ReducedSdp:
     """A moment SDP in reduced form; see :func:`_reduced_sdp`.
 
-    Its value is ``const`` plus the optimum of ``problem``.  With a Bell
-    constraint only F0 and the constant term depend on the Bell value: at
-    value I they are ``problem.c + t * f0_step`` and ``const + const_step * t``
-    with t = (I - bell_const) / t_scale the value of the eliminated class,
-    t_scale its Bell coefficient; :meth:`at` fills them in (only the
-    constant, without ``f0_step``).  ``problem`` carries the constraints,
-    validated once, and the identity-class indicator as its objective."""
+    ``problem`` carries the constraints of the classes ``free``, validated
+    once, with zero targets and the identity-class indicator as C.  With
+    ``bell`` = (g, g_const) the Bell value is pinned through the eliminated
+    class ``beta``, whose indicator is ``f0_step``.  :meth:`at` makes the
+    problem of one objective by setting only b, F0 and the constant."""
 
     problem: SdpProblem
-    const: float
+    identity: int
+    free: np.ndarray
+    bell: tuple | None = None
+    beta: int = 0
     f0_step: np.ndarray | None = None
-    const_step: float = 0.0
-    bell_const: float = 0.0  # Bell value with every free moment at zero
-    t_scale: float = 1.0
 
-    def at(self, bell_value: float) -> tuple[SdpProblem, float]:
-        """The problem and its constant term at the given Bell value."""
-        t = (bell_value - self.bell_const) / self.t_scale
-        problem = self.problem
-        if self.f0_step is not None:
-            problem = problem.with_objective(problem.c + t * self.f0_step)
-        return problem, self.const + self.const_step * t
+    def at(self, objective, bell_value: float | None = None):
+        """The problem max h.y + h_const and its constant term; the pinned
+        form also needs the Bell value I, which fixes the eliminated class
+        at t = (I - Bell value with every free moment at zero) / g_beta."""
+        h, h_const = objective
+        c, w, const = self.problem.c, h[self.free], h_const + h[self.identity]
+        if self.bell is not None:
+            g, g_const = self.bell
+            t = (bell_value - (g_const + g[self.identity])) / g[self.beta]
+            c = c + t * self.f0_step
+            w = w - h[self.beta] * g[self.free] / g[self.beta]
+            const = const + h[self.beta] * t
+        return self.problem.with_objective(c, w), const
 
 
-def _reduced_sdp(ms: MomentStructure, objective, bell=None):
-    """Reduced formulation of max objective(y) over the moments y of ``ms``.
+def _reduced_sdp(ms: MomentStructure, bell=None) -> _ReducedSdp:
+    """Reduced formulation of max h.y + h_const over the moments y of ``ms``.
 
-    ``objective`` and ``bell`` are (class vector, constant) pairs.  The
-    free moments z are the variables: the normalization <1> = 1 and, with
-    ``bell``, the Bell equality are eliminated by substitution (the latter
-    through the class of largest Bell weight), leaving  max w.z  s.t.
-    F0 + sum_i z_i F_i >= 0.  It is handed to the solver as the dual of
-    min tr(F0 X)  s.t.  tr(-F_i X) = w_i,  so the solver's dual side is a
-    moment vector z and the value is read from its primal side, through
-    :func:`~bellbound.sdp.certified_upper_bound`.  With the Bell value
-    pinned at the relaxation's maximum the feasible set has no interior and
-    that bound is useless; there the caller passes h + lam g and no
-    ``bell`` (the Lagrangian form), whose value minus lam I bounds max h.
+    The free moments z are the variables: the normalization <1> = 1 and, with
+    ``bell`` (a class vector and constant like the objective), the Bell
+    equality are eliminated by substitution (the latter through the class of
+    largest Bell weight), leaving  max w.z  s.t.  F0 + sum_i z_i F_i >= 0.
+    It is handed to the solver as the dual of  min tr(F0 X)  s.t.
+    tr(-F_i X) = w_i,  so the solver's dual side is a moment vector z and
+    the value is read from its primal side, through
+    :func:`~bellbound.sdp.certified_upper_bound`.  Only w, F0 and the
+    constant depend on the objective and the Bell value.  With the Bell
+    value pinned at the relaxation's maximum the feasible set has no
+    interior and that bound is useless; there the caller maximizes h + lam g
+    in the Bell-free form (the Lagrangian form), whose value minus lam I
+    bounds max h.
 
     Every F_i is a combination of columns of ``ms.class_indicator``, so
     with every class free M(z) = F0 + sum_i z_i F_i is z[entry_class].
-    Returns a :class:`_ReducedSdp`.
     """
-    h, h_const = objective
     n = ms.size
     identity = int(ms.entry_class[0, 0])
     cols = ms.class_indicator
     free = np.flatnonzero(np.arange(ms.class_count) != identity)
-    extra = {}
+    pinned = {}
     if bell is None:
-        f, w = cols[:, free], h[free]
+        f = cols[:, free]
     else:
         # Eliminate one Bell-carrying class: y_beta = (target - sum g_c y_c)/g_beta.
-        g, g_const = bell
+        g = bell[0]
         weights = np.abs(g)
         weights[identity] = 0.0
         beta = int(np.argmax(weights))
@@ -261,26 +268,33 @@ def _reduced_sdp(ms: MomentStructure, objective, bell=None):
             raise ValueError("Bell functional carries no moment dependence")
         free = free[free != beta]
         f = cols[:, free] - cols[:, [beta]] @ sp.csr_matrix(g[free] / g[beta])
-        w = h[free] - h[beta] * g[free] / g[beta]
-        extra = dict(
-            f0_step=cols[:, beta].toarray().reshape(n, n),
-            const_step=h[beta],
-            bell_const=g_const + g[identity],
-            t_scale=g[beta],
-        )
+        pinned = dict(bell=bell, beta=beta, f0_step=cols[:, beta].toarray().reshape(n, n))
     f = f.tocsc()
     constraints = []
     for i in range(f.shape[1]):
         lo, hi = f.indptr[i], f.indptr[i + 1]
         flat = f.indices[lo:hi]
         a = sp.csr_matrix((-f.data[lo:hi], (flat // n, flat % n)), shape=(n, n))
-        constraints.append((a, w[i]))
-    problem = SdpProblem(
-        n=n,
-        c=cols[:, identity].toarray().reshape(n, n),
-        constraints=constraints,
-    )
-    return _ReducedSdp(problem=problem, const=h_const + h[identity], **extra)
+        constraints.append((a, 0.0))
+    c = cols[:, identity].toarray().reshape(n, n)
+    problem = SdpProblem(n=n, c=c, constraints=constraints)
+    return _ReducedSdp(problem=problem, identity=identity, free=free, **pinned)
+
+
+_sdp_cache: dict = {}
+
+
+def _moment_sdp(expr: BellExpression, level: str, pinned: bool) -> _ReducedSdp:
+    """The reduced moment SDP of ``expr`` at ``level``, built once per form:
+    Bell-free (the Tsirelson bound and every endpoint Lagrangian solve) or
+    with the Bell value pinned by equality (every other guessing solve)."""
+    key = _expr_cache_key(expr, level) + (pinned,)
+    sdp = _sdp_cache.get(key)
+    if sdp is None:
+        ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
+        sdp = _reduced_sdp(ms, _bell_functional(ms, expr) if pinned else None)
+        _sdp_cache[key] = sdp
+    return sdp
 
 
 def _certified_value(problem: SdpProblem, const: float) -> float:
@@ -298,35 +312,10 @@ def tsirelson_bound(expr: BellExpression, level) -> float:
     if key in _tsirelson_cache:
         return _tsirelson_cache[key]
     ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
-    sdp = _reduced_sdp(ms, _bell_functional(ms, expr))
-    value = _certified_value(sdp.problem, sdp.const)
+    sdp = _moment_sdp(expr, level, pinned=False)
+    value = _certified_value(*sdp.at(_bell_functional(ms, expr)))
     _tsirelson_cache[key] = value
     return value
-
-
-_guess_cache: dict = {}
-
-
-def _cached_guess_problem(expr: BellExpression, level: str, x: int, y: int,
-                          a: int, b: int, lam: float | None = None) -> _ReducedSdp:
-    """The guessing SDP of p(ab|xy), built once per expression and level:
-    the Bell value pinned by equality, or with ``lam`` the Lagrangian form
-    max p(ab|xy) + lam (Bell - I), in which I enters only the constant."""
-    key = _expr_cache_key(expr, level) + (x, y, a, b, lam)
-    guess = _guess_cache.get(key)
-    if guess is None:
-        ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
-        h, h_const = _prob_functional(ms, expr, x, y, a, b)
-        g, g_const = _bell_functional(ms, expr)
-        if lam is None:
-            guess = _reduced_sdp(ms, (h, h_const), (g, g_const))
-        else:
-            guess = replace(
-                _reduced_sdp(ms, (h + lam * g, h_const + lam * g_const)),
-                const_step=-lam,
-            )
-        _guess_cache[key] = guess
-    return guess
 
 
 def _check_input_pair(expr: BellExpression, input_pair: tuple[int, int]) -> None:
@@ -355,20 +344,23 @@ def max_guessing_probability(
             f"|I| = {abs(bell_value):.6f} exceeds the level-{level} bound {qmax:.6f}"
         )
 
-    if abs(bell_value) >= qmax - 1e-6:
-        forms = [math.copysign(lam, bell_value) for lam in _ENDPOINT_LAMBDAS]
-    else:
-        forms = [None]
+    ms = _structure_cached(expr.alice_settings, expr.bob_settings, level)
+    g, g_const = _bell_functional(ms, expr)
+    endpoint = abs(bell_value) >= qmax - 1e-6
+    sdp = _moment_sdp(expr, level, pinned=not endpoint)
     best = 0.0
     for a in range(2):
         for b in range(2):
-            value = min(
-                _certified_value(
-                    *_cached_guess_problem(expr, level, x, y, a, b, lam).at(bell_value)
-                )
-                for lam in forms
-            )
-            best = max(best, value)
+            h, h_const = _prob_functional(ms, expr, x, y, a, b)
+            if not endpoint:
+                best = max(best, _certified_value(*sdp.at((h, h_const), bell_value)))
+                continue
+            bounds = []
+            for lam in _ENDPOINT_LAMBDAS:
+                lam = math.copysign(lam, bell_value)
+                problem, const = sdp.at((h + lam * g, h_const + lam * g_const))
+                bounds.append(_certified_value(problem, const - lam * bell_value))
+            best = max(best, min(bounds))
     return float(min(1.0, max(0.25, best)))
 
 

@@ -66,7 +66,7 @@ class SdpProblem:
 
     The constraints are validated and flattened into one m x n^2 operator
     when the problem is made; :meth:`with_objective` shares that operator
-    with a copy that differs only in C."""
+    with a copy that differs only in C and b."""
 
     n: int
     c: np.ndarray
@@ -96,10 +96,16 @@ class SdpProblem:
         if asym.size and np.max(np.abs(asym)) > 1e-12:
             raise ValueError("constraint matrix is not symmetric")
 
-    def with_objective(self, c) -> "SdpProblem":
-        """Copy with objective ``c`` that shares the validated constraints."""
+    def with_objective(self, c, b) -> "SdpProblem":
+        """Copy with objective ``c`` and targets ``b`` that shares the
+        validated constraint operator."""
+        b = np.asarray(b, dtype=float)
+        if b.shape != self._b.shape or not np.all(np.isfinite(b)):
+            raise ValueError(f"need {self._b.size} finite constraint targets")
         other = copy.copy(self)
         other.c = _checked_objective(c, self.n)
+        other._b = b
+        other.constraints = tuple((a, bi) for (a, _), bi in zip(self.constraints, b))
         return other
 
 

@@ -188,13 +188,28 @@ class TestRandomness:
         assert out_file.read_text().strip().endswith("# truncated")
         assert "solver failure" in err
 
-    def test_grid_outside_domain_exits_2(self, capsys):
+    def test_grid_outside_domain_exits_2(self, capsys, monkeypatch):
         code, _, err = run(
             capsys,
             "randomness", "--family", "werner", "--expr", "chsh",
             "--grid", "0:2:5",
         )
         assert code == 2
+
+        # A descending grid is checked at both ends before any SDP is solved.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an SDP was solved for a grid outside the domain")
+
+        monkeypatch.setattr(npa, "_tsirelson_cache", {})
+        monkeypatch.setattr(npa, "solve", no_solve)
+        code, out, err = run(
+            capsys,
+            "randomness", "--family", "werner", "--expr", "chsh", "--level", "1",
+            "--grid", "1:-0.5:4",
+        )
+        assert code == 2
+        assert out == ""
+        assert "outside family domain" in err
 
     def test_out_of_range_pair_exits_2(self, capsys, monkeypatch):
         # No grid point violates, so no guessing SDP would see the pair; the

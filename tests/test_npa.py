@@ -76,10 +76,9 @@ class TestMomentStructure:
     def test_constraint_budget(self):
         ms = build_moment_structure(3, 4, 2)
         bell = npa._bell_functional(ms, ebi())
-        prob = npa._prob_functional(ms, ebi(), 0, 0, 0, 0)
         budget = ms.size * (ms.size + 1) // 2
-        tsirelson = npa._reduced_sdp(ms, bell).problem
-        guess = npa._reduced_sdp(ms, prob, bell).problem
+        tsirelson = npa._reduced_sdp(ms).problem
+        guess = npa._reduced_sdp(ms, bell).problem
         assert len(tsirelson.constraints) == ms.class_count - 1 == 301
         assert len(guess.constraints) == ms.class_count - 2
         for problem in (tsirelson, guess):
@@ -92,7 +91,7 @@ class TestMomentStructure:
         # F0 + sum_i z_i F_i = z[entry_class] with F0 = C and F_i = -A_i,
         # the free classes being every class but the identity, in order.
         ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
-        problem = npa._reduced_sdp(ms, npa._bell_functional(ms, expr)).problem
+        problem, _ = npa._reduced_sdp(ms).at(npa._bell_functional(ms, expr))
         identity = ms.entry_class[0, 0]
         free = [c for c in range(ms.class_count) if c != identity]
         rng = np.random.default_rng(21)
@@ -261,23 +260,46 @@ class TestGuessProblemReuse:
         bell = npa._bell_functional(ms, expr)
         cb, qmax = classical_bound(expr), tsirelson_bound(expr, level)
         values = [cb + f * (qmax - cb) for f in (0.3, 0.6, 0.9)]
+        reused = npa._moment_sdp(expr, level, pinned=True)
         for value in values + values[-2::-1]:  # up, then back down
             best = 0.0
             for a in range(2):
                 for b in range(2):
-                    reused = npa._cached_guess_problem(expr, level, 0, 0, a, b)
-                    problem, const = reused.at(value)
-                    fresh, fresh_const = npa._reduced_sdp(
-                        ms, npa._prob_functional(ms, expr, 0, 0, a, b), bell
-                    ).at(value)
+                    prob = npa._prob_functional(ms, expr, 0, 0, a, b)
+                    problem, const = reused.at(prob, value)
+                    fresh, fresh_const = npa._reduced_sdp(ms, bell).at(prob, value)
                     assert problem._amat is reused.problem._amat
                     assert np.array_equal(problem.c, fresh.c)
+                    assert np.array_equal(problem._b, fresh._b)
                     assert const == fresh_const
                     best = max(
                         best, fresh_const + certified_upper_bound(fresh, solve(fresh))
                     )
             reused_value = max_guessing_probability(expr, value, (0, 0), level)
             assert abs(reused_value - min(1.0, max(0.25, best))) <= 1e-12
+
+    def test_one_operator_per_form(self, monkeypatch):
+        # Input pairs, outcomes, Bell values and multipliers set only b, F0
+        # and the constant: the equality-form solves share one operator, the
+        # Tsirelson and Lagrangian solves the other.
+        expr, level = chsh(), "1+AB"
+        operators = []
+
+        def recording(problem):
+            operators.append(problem._amat)
+            return solve(problem)
+
+        monkeypatch.setattr(npa, "_tsirelson_cache", {})
+        monkeypatch.setattr(npa, "solve", recording)
+        qmax = tsirelson_bound(expr, level)
+        for pair in ((0, 0), (1, 1)):
+            max_guessing_probability(expr, 0.5 * (classical_bound(expr) + qmax), pair, level)
+        max_guessing_probability(expr, qmax, (0, 0), level)
+        tsirelson, equality, lagrangian = operators[0], operators[1:9], operators[9:]
+        assert len(operators) == 17
+        assert all(op is equality[0] for op in equality)
+        assert all(op is tsirelson for op in lagrangian)
+        assert equality[0] is not tsirelson
 
 
 class TestRandomnessPoint:

@@ -80,12 +80,21 @@ class TestValidation:
 
     def test_with_objective_shares_constraints(self):
         problem = gram_problem()
-        other = problem.with_objective(np.eye(4))
-        assert other._amat is problem._amat and other.constraints is problem.constraints
+        other = problem.with_objective(np.eye(4), problem._b)
+        assert other._amat is problem._amat and other._groups is problem._groups
+        assert all(a is b for (a, _), (b, _) in zip(other.constraints, problem.constraints))
         assert np.array_equal(other.c, np.eye(4))
         assert abs(solve(other).primal_obj - 4.0) < 1e-7
         with pytest.raises(ValueError):
-            problem.with_objective(np.triu(np.ones((4, 4))))
+            problem.with_objective(np.triu(np.ones((4, 4))), problem._b)
+        # Diagonal 2 scales the optimal Gram matrix by 2: optimum -4.
+        doubled = problem.with_objective(problem.c, np.full(4, 2.0))
+        assert [bi for _, bi in doubled.constraints] == [2.0] * 4
+        assert np.array_equal(problem._b, np.ones(4))
+        assert abs(solve(doubled).primal_obj + 4.0) < 1e-7
+        for bad in (np.full(3, 2.0), [1.0, 1.0, np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                problem.with_objective(problem.c, bad)
 
 
 class TestBasicSolves:
@@ -268,9 +277,7 @@ class TestFactorizations:
         if name == "gram":
             problem = gram_problem()
         else:
-            expr = bell.ebi()
-            guess = npa._cached_guess_problem(expr, "2", 0, 0, 0, 0)
-            problem, _ = guess.at(0.9 * npa.tsirelson_bound(expr, "2"))
+            problem = ebi_guess_problem(0.9 * npa.tsirelson_bound(bell.ebi(), "2"))
         seen = collections.Counter()
         cholesky = np.linalg.cholesky
 
@@ -312,12 +319,21 @@ def operator_arrays(problem: SdpProblem) -> list:
     return [amat.indptr, amat.indices, amat.data, problem._b, *groups]
 
 
+def ebi_guess_problem(bell_value: float) -> SdpProblem:
+    """The equality-form guessing SDP of p(00|00) for ebi at level 2."""
+    expr = bell.ebi()
+    ms = npa._structure_cached(expr.alice_settings, expr.bob_settings, "2")
+    prob = npa._prob_functional(ms, expr, 0, 0, 0, 0)
+    return npa._moment_sdp(expr, "2", pinned=True).at(prob, bell_value)[0]
+
+
 def ebi_problems() -> dict:
     expr = bell.ebi()
     ms = npa._structure_cached(expr.alice_settings, expr.bob_settings, "2")
+    tsirelson = npa._moment_sdp(expr, "2", pinned=False)
     return {
-        "tsirelson": npa._reduced_sdp(ms, npa._bell_functional(ms, expr)).problem,
-        "eq": npa._cached_guess_problem(expr, "2", 0, 0, 0, 0).problem,
+        "tsirelson": tsirelson.at(npa._bell_functional(ms, expr))[0],
+        "eq": ebi_guess_problem(0.9 * npa.tsirelson_bound(expr, "2")),
     }
 
 
