@@ -399,35 +399,53 @@ def seesaw_max_violation(
     image T^T (sum_k c_kl a_k).  Restarts run from seeded random unit
     vectors and the best converged value wins (first restart on ties).
     The objective is monotone nondecreasing along the updates.
+
+    Each restart is one row of its party's vectors side by side, and T is
+    folded into the coefficient table once, so a sweep is one matrix
+    product per half-step.  The objective sum_l b_l . image_l is read as
+    the sum of the norms of Bob's images.  A vector whose image vanishes
+    (norm <= 1e-300) keeps its previous value; that fallback runs only in
+    a half-step where some norm vanishes.
     """
     if restarts < 1:
         raise OutOfRange("restarts must be >= 1")
     t = correlation_data(state).t
     coeffs = expr.coeffs
+    k, l = coeffs.shape
     rng = np.random.default_rng(seed)
 
     def unit_rows(shape):
         v = rng.normal(size=shape)
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    alice = unit_rows((restarts, expr.alice_settings, 3))
-    bob = unit_rows((restarts, expr.bob_settings, 3))
+    alice = unit_rows((restarts, k, 3)).reshape(restarts, 3 * k)
+    bob = unit_rows((restarts, l, 3)).reshape(restarts, 3 * l)
+    to_alice = np.kron(coeffs.T, t.T)  # (3l, 3k): bob row -> T sum_l c_kl b_l
+    to_bob = np.kron(coeffs, t)        # (3k, 3l): alice row -> T^T sum_k c_kl a_k
+    # Block-ones matrices: (image * image) @ blocks puts each vector's
+    # squared norm in all three of its columns.
+    alice_blocks = np.kron(np.eye(k), np.ones((3, 3)))
+    bob_blocks = np.kron(np.eye(l), np.ones((3, 3)))
 
-    def normalize(v, fallback):
-        norms = np.sqrt((v * v).sum(-1, keepdims=True))
-        return np.divide(v, norms, out=fallback.copy(), where=norms > 1e-300)
+    def normalize(image, blocks, previous):
+        norms = np.sqrt((image * image) @ blocks)
+        if norms.min() > 1e-300:
+            return image / norms, norms
+        ok = norms > 1e-300
+        return np.where(ok, image / np.where(ok, norms, 1.0), previous), norms
 
     values = np.full(restarts, -np.inf)
     for _ in range(500):
-        alice = normalize(coeffs @ bob @ t.T, alice)
-        image = coeffs.T @ alice @ t  # (restarts, l, 3): T^T sum_k c_kl a_k
-        bob = normalize(image, bob)
-        values, old = (image * bob).sum(axis=(1, 2)), values
-        if np.max(np.abs(values - old)) < 1e-12:
+        alice, _ = normalize(bob @ to_alice, alice_blocks, alice)
+        bob, norms = normalize(alice @ to_bob, bob_blocks, bob)
+        values, old = norms[:, ::3].sum(axis=1), values
+        if abs(values - old).max() < 1e-12:
             break
 
-    best = int(np.argmax(values))
-    strategy = MeasurementStrategy(alice=alice[best].copy(), bob=bob[best].copy())
+    best = int(values.argmax())
+    strategy = MeasurementStrategy(
+        alice=alice[best].reshape(k, 3).copy(), bob=bob[best].reshape(l, 3).copy()
+    )
     return float(values[best]), strategy
 
 

@@ -321,12 +321,20 @@ def einsum_seesaw(state, expr, restarts, seed):
 
 
 def seesaw_probe_states():
-    """Seeded Haar-like mixed, Werner and pure-family states."""
+    """Seeded Haar-like mixed, Werner and pure-family states, then three
+    fixed states for the sweep's edge paths (the list index is the seed).
+
+    - |00> (seed 14): for chsh and chained3 some images vanish while others
+      do not, so the per-vector fallback of the normalization runs.
+    - theta = 0.6 (seed 15) for ebi, theta = 0.78 (seed 16) for chsh and
+      chained3: the sweep stops at its 500-sweep cap, not the 1e-12 rule.
+    """
     rng = np.random.default_rng(2024)
     mixed = [random_state(rng) for _ in range(6)]
     werner = [werner_state(p) for p in rng.uniform(0.05, 1.0, size=4)]
     pure = [pure_state(theta) for theta in rng.uniform(0.0, np.pi / 4, size=4)]
-    return mixed + werner + pure
+    edges = [pure_state(0.0), pure_state(0.6), pure_state(0.78)]
+    return mixed + werner + pure + edges
 
 
 class TestSeesaw:
