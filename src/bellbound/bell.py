@@ -1,9 +1,9 @@
 """
 Bell expressions and everything evaluated on top of them: expectation
-values, the tight violation bound from correlation-matrix singular values,
+values, the tight violation bound 4*||T||_F of the correlation matrix T,
 synthesis of measurements that saturate it, saturation diagnostics,
 classical (deterministic-strategy) bounds, an alternating see-saw oracle,
-and quantum behaviors p(ab|xy).
+and quantum behaviors p(ab|xy) read from the Bloch data (r, s, T).
 
 A Bell expression is a name and a table of correlator coefficients c_kl
 weighting <A_k B_l>, nothing else: having no single-party terms, every
@@ -19,12 +19,14 @@ vectors a, b.  Its classical bound is 6 and its quantum maximum 4*sqrt(3).
 For a state with correlation-matrix singular values l1 >= l2 >= l3 the
 closed-form benchmark
 
-    4 * sqrt(l1^2 + l2^2 + l3^2)
+    4 * sqrt(l1^2 + l2^2 + l3^2) = 4 * ||T||_F
 
-is achieved exactly by measurements built from the singular vectors (see
-optimal_measurements); on isotropic correlation matrices (l1 = l2 = l3)
-it coincides with the per-state optimum.  Off that family strictly better
-strategies can exist, which the see-saw oracle below will find.
+is achieved exactly by Bob's vectors built from the right singular vectors
+and Alice's vectors equal to the left singular vectors signed (+, -, +)
+(see optimal_measurements); on isotropic correlation matrices
+(l1 = l2 = l3) it coincides with the per-state optimum.  Off that family
+strictly better strategies can exist, which the see-saw oracle below will
+find.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
     TooManySettings,
 )
 from .states import (
-    ID2,
     PAULI,
     TwoQubitState,
     correlation_data,
@@ -118,6 +119,9 @@ class MeasurementStrategy:
     @classmethod
     def from_json(cls, text: str) -> "MeasurementStrategy":
         payload = json.loads(text)
+        for party in ("alice", "bob"):
+            if not isinstance(payload, dict) or party not in payload:
+                raise ValueError(f"strategy JSON has no {party!r} vectors")
         return cls(
             alice=np.array(payload["alice"], dtype=float),
             bob=np.array(payload["bob"], dtype=float),
@@ -246,47 +250,34 @@ def operator_expectation(
     return float(np.real(np.trace(state.rho @ bell_operator(expr, strategy))))
 
 
-def _tight_value(lam: np.ndarray) -> float:
-    return 4.0 * float(np.sqrt(np.sum(lam**2)))
-
-
 def tight_bound(state: TwoQubitState) -> float:
-    """4*sqrt(l1^2+l2^2+l3^2) from the correlation-matrix singular values."""
-    return _tight_value(np.linalg.svd(correlation_data(state).t)[1])
+    """4*sqrt(l1^2+l2^2+l3^2) = 4*||T||_F, the Frobenius norm of T."""
+    return 4.0 * float(np.linalg.norm(correlation_data(state).t))
 
 
 def optimal_measurements(state: TwoQubitState) -> MeasurementStrategy:
     """Measurements achieving the tight bound for the 3x4 expression.
 
     Bob's four vectors carry the component pattern (+-l1, +-l2, +-l3)/N in
-    the right-singular basis of the correlation matrix T; Alice's vectors
-    are the normalized images under T of the three signed Bob combinations.
-    Where such an image vanishes (zero singular value), the corresponding
-    left singular direction is substituted, which leaves the achieved value
-    unchanged.  The first nonzero component of each right singular vector
-    is made nonnegative, so the output is reproducible across platforms.
+    the right-singular basis of the correlation matrix T.  The k-th signed
+    Bob combination is then +-4 l_k/N times the k-th right singular vector,
+    which T maps onto a positive multiple of +-u_k, so Alice's vectors are
+    the left singular vectors signed (+, -, +); where l_k vanishes, u_k is
+    still a valid direction and the achieved value is unchanged.  The first
+    nonzero component of each right singular vector is made nonnegative
+    (and u_k signed alike), so the output is reproducible across platforms.
     """
-    cd = correlation_data(state)
-    u, lam, vt = np.linalg.svd(cd.t)
+    u, lam, vt = np.linalg.svd(correlation_data(state).t)
     first = np.argmax(np.abs(vt) > 1e-12, axis=1)
     signs = np.where(vt[np.arange(3), first] < 0.0, -1.0, 1.0)
-    left, right = u * signs, vt.T * signs
     norm = float(np.linalg.norm(lam))
     if norm < 1e-12:
         raise DegenerateState("all singular values vanish; no direction defined")
 
-    bob = (_BOB_SIGNS * lam) @ right.T / norm
+    bob = (_BOB_SIGNS * lam) @ (vt.T * signs).T / norm
     bob /= np.linalg.norm(bob, axis=1, keepdims=True)
-
-    signs = ebi().coeffs  # rows give b1+b2-b3-b4 and friends
-    alice = np.zeros((3, 3))
-    for k in range(3):
-        image = cd.t @ (signs[k] @ bob)
-        length = np.linalg.norm(image)
-        if length > 1e-12:
-            alice[k] = image / length
-        else:
-            alice[k] = left[:, k]
+    # Row k of _EBI_COEFFS @ _BOB_SIGNS is 4 * (+1, -1, +1)[k] on the diagonal.
+    alice = (u * signs * np.diag(_EBI_COEFFS @ _BOB_SIGNS) / 4.0).T
     return MeasurementStrategy(alice=alice, bob=bob)
 
 
@@ -298,42 +289,37 @@ def tightness_check(
     Checks (i) equality of the three ratios l_k / |signed Bob combination|,
     (ii) the sum of pairwise Bob inner products against -2, (iii) alignment
     of each Alice vector with the normalized T-image of its combination,
-    and reports the gap between the tight bound and |<S>|.
+    and reports the gap between the tight bound and |<S>|.  A vanishing
+    combination or image fails (i) or (iii) only where l_k does not vanish
+    (l_k > EPS_TIGHT * max(1, l_1)).
     """
     expr = ebi()
     _check_shapes(expr, strategy)
-    cd = correlation_data(state)
-    lam = np.linalg.svd(cd.t)[1]
+    t = correlation_data(state).t
+    lam = np.linalg.svd(t, compute_uv=False)
+    required = lam > EPS_TIGHT * max(1.0, float(np.max(lam)))
 
     combos = expr.coeffs @ strategy.bob  # (3, 3), rows b1+b2-b3-b4 etc.
     lengths = np.linalg.norm(combos, axis=1)
-
-    ratios = []
-    proportional = True
-    scale = max(1.0, float(np.max(lam)))
-    for k in range(3):
-        if lengths[k] > 1e-12:
-            ratios.append(lam[k] / lengths[k])
-        elif lam[k] > EPS_TIGHT * scale:
-            proportional = False  # finite singular value but vanishing combination
-    if ratios and (max(ratios) - min(ratios)) > EPS_TIGHT:
-        proportional = False
+    live = lengths > 1e-12
+    ratios = lam[live] / lengths[live]
+    proportional = not np.any(required & ~live) and not (
+        ratios.size and np.ptp(ratios) > EPS_TIGHT
+    )
 
     gram = strategy.bob @ strategy.bob.T
     gram_sum = float(np.sum(gram[np.triu_indices(4, k=1)]))
     gram_ok = abs(gram_sum + 2.0) <= EPS_TIGHT
 
-    aligned = True
-    for k in range(3):
-        image = cd.t @ combos[k]
-        length = np.linalg.norm(image)
-        if length > 1e-12:
-            if np.linalg.norm(strategy.alice[k] - image / length) > EPS_TIGHT:
-                aligned = False
-        elif lam[k] > EPS_TIGHT * scale:
-            aligned = False  # a direction is required here but the image vanishes
+    images = combos @ t.T
+    image_norms = np.linalg.norm(images, axis=1)
+    live = image_norms > 1e-12
+    offsets = np.linalg.norm(
+        strategy.alice[live] - images[live] / image_norms[live, None], axis=1
+    )
+    aligned = not np.any(required & ~live) and not np.any(offsets > EPS_TIGHT)
 
-    gap = _tight_value(lam) - abs(expectation(state, expr, strategy))
+    gap = 4.0 * float(np.linalg.norm(t)) - abs(expectation(state, expr, strategy))
     return TightnessReport(
         proportionality_ok=proportional,
         gram_sum=gram_sum,
@@ -362,26 +348,15 @@ def classical_bound(expr: BellExpression) -> float:
 
 
 def behavior_from(state: TwoQubitState, strategy: MeasurementStrategy) -> Behavior:
-    """Outcome table from projective measurements (I +- a.sigma)/2."""
-    rho = state.rho
-    k = strategy.alice.shape[0]
-    l = strategy.bob.shape[0]
-
-    def projectors(v):
-        obs = _obs(v)
-        return (ID2 + obs) / 2.0, (ID2 - obs) / 2.0
-
-    table = np.zeros((k, l, 2, 2))
-    for x in range(k):
-        pa = projectors(strategy.alice[x])
-        for y in range(l):
-            pb = projectors(strategy.bob[y])
-            for a in range(2):
-                for b in range(2):
-                    table[x, y, a, b] = float(
-                        np.real(np.trace(rho @ np.kron(pa[a], pb[b])))
-                    )
-    table = np.clip(table, 0.0, None)
+    """Outcome table of projective measurements (I +- a.sigma)/2 read from
+    (r, s, T): p(ab|xy) = (1 + s_a a_x.r + s_b b_y.s + s_a s_b a_x^T T b_y)/4
+    with s_0 = +1, s_1 = -1."""
+    cd = correlation_data(state)
+    sign = np.array([1.0, -1.0])
+    alice = (strategy.alice @ cd.r)[:, None, None, None] * sign[:, None]
+    bob = (strategy.bob @ cd.s)[None, :, None, None] * sign
+    corr = (strategy.alice @ cd.t @ strategy.bob.T)[:, :, None, None] * np.outer(sign, sign)
+    table = np.clip((1.0 + alice + bob + corr) / 4.0, 0.0, None)
     table /= table.sum(axis=(2, 3), keepdims=True)
     return Behavior(table=table)
 

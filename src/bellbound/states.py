@@ -73,7 +73,12 @@ class TwoQubitState:
 
     @classmethod
     def from_json(cls, text: str) -> "TwoQubitState":
+        """Inverse of :meth:`to_json`; ValueError unless the payload is a 4x4
+        array of [re, im] number pairs."""
         payload = json.loads(text)
+        pairs = np.array(payload, dtype=object)
+        if pairs.shape != (4, 4, 2) or any(type(v) not in (int, float) for v in pairs.flat):
+            raise ValueError("state JSON must be a 4x4 array of [re, im] number pairs")
         rho = np.array(
             [[complex(re, im) for re, im in row] for row in payload], dtype=complex
         )

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from bellbound.errors import (
     OutOfRange,
     TooManySettings,
 )
+from bellbound.states import PAULI
 from conftest import random_state, random_strategy
 
 ROOT3 = np.sqrt(3.0)
@@ -158,6 +160,14 @@ class TestTightBound:
         for p in np.linspace(0, 1, 11):
             assert abs(tight_bound(werner_state(p)) - 4 * ROOT3 * p) <= 1e-10
 
+    def test_matches_singular_value_form(self):
+        # Reference: the bound from the singular values, as 4*sqrt(sum l_k^2).
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            state = random_state(rng)
+            lam = np.linalg.svd(correlation_data(state).t, compute_uv=False)
+            assert abs(tight_bound(state) - 4 * np.sqrt(np.sum(lam**2))) <= 1e-14
+
 
 class TestOptimalMeasurements:
     def test_singlet_reproduces_cuboid(self, octahedron_cuboid_strategy):
@@ -197,6 +207,24 @@ class TestOptimalMeasurements:
     def test_fully_degenerate_raises(self):
         with pytest.raises(DegenerateState):
             optimal_measurements(werner_state(0.0))
+
+    def test_alice_matches_normalized_images(self):
+        # Reference: Alice's k-th vector as the normalized T-image of the k-th
+        # signed Bob combination, wherever that image does not vanish.
+        rng = np.random.default_rng(23)
+        states = [random_state(rng) for _ in range(50)]
+        states += [pure_state(theta) for theta in np.linspace(0.0, np.pi / 4, 11)]
+        states += [werner_state(p) for p in (0.3, 0.8, 1.0)] + [singlet()]
+        checked = 0
+        for state in states:
+            strat = optimal_measurements(state)
+            images = (ebi().coeffs @ strat.bob) @ correlation_data(state).t.T
+            for alice, image in zip(strat.alice, images):
+                length = np.linalg.norm(image)
+                if length > 1e-6:
+                    assert np.max(np.abs(alice - image / length)) <= 1e-12
+                    checked += 1
+        assert checked > 3 * 50
 
     def test_sign_convention_and_determinism(self):
         # Bob's vectors come from right singular vectors whose first nonzero
@@ -243,6 +271,23 @@ class TestTightnessCheck:
         assert not report.proportionality_ok
         assert not report.alice_aligned
         assert report.bound_gap > 0.0
+
+    def test_one_flipped_alice_vector_fails_alignment_only(self):
+        rng = np.random.default_rng(29)
+        for state in [random_state(rng) for _ in range(5)] + [pure_state(0.3), singlet()]:
+            strat = optimal_measurements(state)
+            reference = tightness_check(state, strat)
+            for k in range(3):
+                alice = strat.alice.copy()
+                alice[k] = -alice[k]
+                report = tightness_check(state, replace(strat, alice=alice))
+                assert reference.alice_aligned and not report.alice_aligned
+                assert report.proportionality_ok == reference.proportionality_ok
+                assert report.gram_sum == reference.gram_sum
+                assert report.gram_sum_ok == reference.gram_sum_ok
+                # Flipping a_k changes <S> by -2 a_k.T(combination k), so only
+                # the gap moves, and it moves up.
+                assert report.bound_gap > reference.bound_gap
 
     def test_saturation_along_pure_family(self):
         for theta in np.linspace(0.01, np.pi / 4, 25):
@@ -434,6 +479,25 @@ class TestBehavior:
         with pytest.raises(OutOfRange):
             bell.Behavior(table=np.full((1, 1, 2, 2), np.nan))
 
+    def test_matches_projector_trace(self):
+        # Reference: p(ab|xy) = tr(rho (P_a (x) P_b)) with P_+- = (I +- v.sigma)/2.
+        def projectors(v):
+            obs = sum(c * pauli for c, pauli in zip(v, PAULI))
+            return (np.eye(2) + obs) / 2, (np.eye(2) - obs) / 2
+
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            state = random_state(rng)
+            strat = random_strategy(rng, 3, 4)
+            expected = np.zeros((3, 4, 2, 2))
+            for x, a_vec in enumerate(strat.alice):
+                for y, b_vec in enumerate(strat.bob):
+                    for a, pa in enumerate(projectors(a_vec)):
+                        for b, pb in enumerate(projectors(b_vec)):
+                            expected[x, y, a, b] = np.trace(state.rho @ np.kron(pa, pb)).real
+            table = behavior_from(state, strat).table
+            assert np.max(np.abs(table - expected)) <= 1e-14
+
     def test_no_signaling_random(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
@@ -514,6 +578,13 @@ class TestStrategySerialization:
         again = MeasurementStrategy.from_json(text)
         assert np.array_equal(again.alice, octahedron_cuboid_strategy.alice)
         assert np.array_equal(again.bob, octahedron_cuboid_strategy.bob)
+
+    @pytest.mark.parametrize("party", ["alice", "bob"])
+    def test_missing_party_names_it(self, party):
+        payload = {"alice": [[1, 0, 0]], "bob": [[0, 0, 1]]}
+        del payload[party]
+        with pytest.raises(ValueError, match=party):
+            MeasurementStrategy.from_json(json.dumps(payload))
 
     def test_rejects_non_unit(self):
         with pytest.raises(OutOfRange):

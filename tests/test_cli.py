@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellbound import cli, npa
+from bellbound import cli, npa, singlet
 from bellbound.errors import SolverError
 
 
@@ -13,6 +13,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def singlet_with_entry(entry):
+    """The singlet's state-file payload with one [re, im] pair replaced."""
+    payload = json.loads(singlet().to_json())
+    payload[1][2] = entry
+    return payload
 
 
 class TestBound:
@@ -50,6 +57,18 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--state-file", str(path), "--json")
         assert code == 0
         assert abs(json.loads(out)["tight_bound"] - 4 * np.sqrt(3)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "payload",
+        [5, singlet_with_entry(["1", 0]), singlet_with_entry([None, 0])],
+        ids=["top-level-5", "string-entry", "null-entry"],
+    )
+    def test_malformed_state_file_exits_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "bound", "--state-file", str(path))
+        assert code == 2 and out == ""
+        assert "configuration error" in err
 
 
 class TestMeasure:
