@@ -7,13 +7,11 @@ from .bell import (
     MeasurementStrategy,
     TightnessReport,
     behavior_from,
-    bell_operator,
     chained,
     chsh,
     classical_bound,
     ebi,
     expectation,
-    operator_expectation,
     optimal_measurements,
     seesaw_max_violation,
     tight_bound,

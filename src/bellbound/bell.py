@@ -31,6 +31,7 @@ find.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -44,7 +45,6 @@ from .errors import (
     TooManySettings,
 )
 from .states import (
-    PAULI,
     TwoQubitState,
     correlation_data,
     pure_state,
@@ -118,14 +118,18 @@ class MeasurementStrategy:
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementStrategy":
+        """Inverse of :meth:`to_json`; ValueError unless each party's entry
+        is an array of JSON numbers."""
         payload = json.loads(text)
+        vectors = {}
         for party in ("alice", "bob"):
             if not isinstance(payload, dict) or party not in payload:
                 raise ValueError(f"strategy JSON has no {party!r} vectors")
-        return cls(
-            alice=np.array(payload["alice"], dtype=float),
-            bob=np.array(payload["bob"], dtype=float),
-        )
+            entries = np.array(payload[party], dtype=object)
+            if any(type(v) not in (int, float) for v in entries.flat):
+                raise ValueError(f"strategy JSON {party!r} vectors must be numbers")
+            vectors[party] = entries.astype(float)
+        return cls(**vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,31 +227,6 @@ def expectation(
     _check_shapes(expr, strategy)
     cd = correlation_data(state)
     return float(np.sum(expr.coeffs * (strategy.alice @ cd.t @ strategy.bob.T)))
-
-
-def _obs(v: np.ndarray) -> np.ndarray:
-    """Dichotomic qubit observable v.sigma."""
-    return v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]
-
-
-def bell_operator(expr: BellExpression, strategy: MeasurementStrategy) -> np.ndarray:
-    """4x4 operator sum_kl c_kl (a_k.sigma)(x)(b_l.sigma)."""
-    _check_shapes(expr, strategy)
-    op = np.zeros((4, 4), dtype=complex)
-    for k in range(expr.alice_settings):
-        for l in range(expr.bob_settings):
-            if expr.coeffs[k, l] != 0.0:
-                op += expr.coeffs[k, l] * np.kron(
-                    _obs(strategy.alice[k]), _obs(strategy.bob[l])
-                )
-    return op
-
-
-def operator_expectation(
-    state: TwoQubitState, expr: BellExpression, strategy: MeasurementStrategy
-) -> float:
-    """Independent route tr(rho S); equals :func:`expectation` to roundoff."""
-    return float(np.real(np.trace(state.rho @ bell_operator(expr, strategy))))
 
 
 def tight_bound(state: TwoQubitState) -> float:
@@ -361,6 +340,21 @@ def behavior_from(state: TwoQubitState, strategy: MeasurementStrategy) -> Behavi
     return Behavior(table=table)
 
 
+@functools.cache
+def _seesaw_tables(k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the see-saw sweep for k x l settings: the
+    block-ones matrices of Alice and Bob, with which (image * image) @ blocks
+    puts each vector's squared norm in all three of its columns, and the
+    selector of the first column of each of Bob's vectors."""
+    alice_blocks = np.kron(np.eye(k), np.ones((3, 3)))
+    bob_blocks = np.kron(np.eye(l), np.ones((3, 3)))
+    bob_first = np.zeros(3 * l)
+    bob_first[::3] = 1.0
+    for table in (alice_blocks, bob_blocks, bob_first):
+        table.setflags(write=False)
+    return alice_blocks, bob_blocks, bob_first
+
+
 def seesaw_max_violation(
     state: TwoQubitState,
     expr: BellExpression,
@@ -395,15 +389,14 @@ def seesaw_max_violation(
 
     alice = unit_rows((restarts, k, 3)).reshape(restarts, 3 * k)
     bob = unit_rows((restarts, l, 3)).reshape(restarts, 3 * l)
-    to_alice = np.kron(coeffs.T, t.T)  # (3l, 3k): bob row -> T sum_l c_kl b_l
-    to_bob = np.kron(coeffs, t)        # (3k, 3l): alice row -> T^T sum_k c_kl a_k
-    # Block-ones matrices: (image * image) @ blocks puts each vector's
-    # squared norm in all three of its columns.
-    alice_blocks = np.kron(np.eye(k), np.ones((3, 3)))
-    bob_blocks = np.kron(np.eye(l), np.ones((3, 3)))
+    # kron(C^T, T^T) (3l, 3k): bob row -> T sum_l c_kl b_l, and
+    # kron(C, T) (3k, 3l): alice row -> T^T sum_k c_kl a_k.
+    to_alice = (coeffs.T[:, None, :, None] * t.T[:, None, :]).reshape(3 * l, 3 * k)
+    to_bob = (coeffs[:, None, :, None] * t[:, None, :]).reshape(3 * k, 3 * l)
+    alice_blocks, bob_blocks, bob_first = _seesaw_tables(k, l)
 
     def normalize(image, blocks, previous):
-        norms = np.sqrt((image * image) @ blocks)
+        norms = np.sqrt(np.dot(image * image, blocks))
         if norms.min() > 1e-300:
             return image / norms, norms
         ok = norms > 1e-300
@@ -411,9 +404,9 @@ def seesaw_max_violation(
 
     values = np.full(restarts, -np.inf)
     for _ in range(500):
-        alice, _ = normalize(bob @ to_alice, alice_blocks, alice)
-        bob, norms = normalize(alice @ to_bob, bob_blocks, bob)
-        values, old = norms[:, ::3].sum(axis=1), values
+        alice, _ = normalize(np.dot(bob, to_alice), alice_blocks, alice)
+        bob, norms = normalize(np.dot(alice, to_bob), bob_blocks, bob)
+        values, old = np.dot(norms, bob_first), values
         if abs(values - old).max() < 1e-12:
             break
 

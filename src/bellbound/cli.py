@@ -14,8 +14,11 @@ failure.  Grid sweeps compute one point at a time, in grid order, and stop
 at the first point that fails.  ``--config FILE`` supplies defaults from a
 JSON object keyed by option name (``state_file``, ``grid``, ``json``, ...);
 flags win, and a key that no subcommand declares exits 2.  Importing the
-package pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set
-(see bellbound.linalg).
+package pins numpy's OpenBLAS to one thread, and the first SDP solve pins
+scipy's, unless OPENBLAS_NUM_THREADS is set (see bellbound.linalg).  scipy
+is loaded only by the commands that build an SDP (tsirelson, randomness,
+gram-demo); importing this module and bound, measure and classical do not
+load it.
 """
 
 from __future__ import annotations

@@ -7,20 +7,22 @@ All routines are pure functions of plain numpy arrays (complex128 for
 operator algebra, float64 for correlation matrices) and are safe to share
 read-only across threads.
 
-Importing this module pins the OpenBLAS copies bundled with numpy and
-scipy to one thread, unless ``OPENBLAS_NUM_THREADS`` is set: the matrices
-here are at most a few hundred wide, and on them a multithreaded BLAS is
-many times slower than a single thread.
+Importing this module pins the OpenBLAS copy bundled with numpy to one
+thread, and the first triangular solve, the first use of scipy, pins
+scipy's copy, unless ``OPENBLAS_NUM_THREADS`` is set: the matrices here are
+at most a few hundred wide, and on them a multithreaded BLAS is many times
+slower than a single thread.  scipy is imported only there, so code that
+solves no SDP never loads it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib
 import os
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import NotPositiveDefinite
 
@@ -28,31 +30,36 @@ from .errors import NotPositiveDefinite
 EPS_HERM = 1e-12    # max elementwise |M - M^dag| for "Hermitian"
 EPS_CHOL = 1e-13    # smallest acceptable Cholesky pivot
 
-# (extension module linked against a bundled OpenBLAS, thread setter of
-# that copy).  dlsym on a module's handle also searches the libraries it
-# links, so each setter resolves in its own copy.
-_OPENBLAS_SETTERS = (
-    ("numpy.linalg._umath_linalg", "scipy_openblas_set_num_threads64_"),
-    ("scipy.linalg._fblas", "scipy_openblas_set_num_threads"),
-)
 
-
-def _pin_openblas() -> None:
-    """Set each bundled OpenBLAS to one thread; skip copies not found."""
+def _pin_openblas(module_name: str, symbol: str) -> None:
+    """Set the OpenBLAS copy that extension module ``module_name`` links to
+    one thread through its setter ``symbol``; skip a copy not found.  dlsym
+    on a module's handle also searches the libraries it links, so the
+    setter resolves in that module's own copy."""
     if "OPENBLAS_NUM_THREADS" in os.environ:
         return
-    for module_name, symbol in _OPENBLAS_SETTERS:
-        try:
-            path = importlib.import_module(module_name).__file__
-            setter = getattr(ctypes.CDLL(path), symbol)
-        except (ImportError, OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
+    try:
+        path = importlib.import_module(module_name).__file__
+        setter = getattr(ctypes.CDLL(path), symbol)
+    except (ImportError, OSError, AttributeError):
+        return
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
 
 
-_pin_openblas()
+_pin_openblas("numpy.linalg._umath_linalg", "scipy_openblas_set_num_threads64_")
+
+
+@functools.cache
+def _dtrtrs():
+    """scipy's LAPACK dtrtrs, loaded at the first triangular solve.  It is
+    bellbound's only use of scipy's BLAS, so pinning that copy here, before
+    the first call, leaves it never used unpinned."""
+    from scipy.linalg.lapack import dtrtrs
+
+    _pin_openblas("scipy.linalg._fblas", "scipy_openblas_set_num_threads")
+    return dtrtrs
 
 
 def is_hermitian(m: np.ndarray, tol: float = EPS_HERM) -> bool:
@@ -77,7 +84,7 @@ def cholesky_spd(a: np.ndarray) -> np.ndarray:
 def _upper_solve(u: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     """u^-1 b (trans=0) or u^-T b (trans=1) for upper-triangular u, by LAPACK
     dtrtrs.  Raises LinAlgError on a zero pivot."""
-    x, info = dtrtrs(u, b, lower=0, trans=trans)
+    x, info = _dtrtrs()(u, b, lower=0, trans=trans)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}"

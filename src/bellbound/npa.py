@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bell as _bell
 from .bell import BellExpression, classical_bound
@@ -121,6 +120,8 @@ def _monomial_list(k: int, l: int, level: str) -> list[Monomial]:
 
 @lru_cache(maxsize=None)
 def _structure_cached(k: int, l: int, level: str) -> MomentStructure:
+    import scipy.sparse as sp
+
     if k < 1 or l < 1:
         raise OutOfRange("each party needs at least one setting")
     monomials = _monomial_list(k, l, level)
@@ -251,6 +252,8 @@ def _reduced_sdp(ms: MomentStructure, bell=None) -> _ReducedSdp:
     Every F_i is a combination of columns of ``ms.class_indicator``, so
     with every class free M(z) = F0 + sum_i z_i F_i is z[entry_class].
     """
+    import scipy.sparse as sp
+
     n = ms.size
     identity = int(ms.entry_class[0, 0])
     cols = ms.class_indicator

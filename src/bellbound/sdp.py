@@ -33,7 +33,6 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NotPositiveDefinite, SolverError
 from .linalg import cholesky_spd, solve_cholesky, solve_lower
@@ -132,6 +131,8 @@ def _flatten_constraints(constraints, n):
     row per constraint, the row indices, column indices and values of its
     nonzeros, read off the operator's CSR rows in row-major order.  Dense
     and sparse constraints are read alike, through ``sp.coo_matrix``."""
+    import scipy.sparse as sp
+
     rows_idx, flat_idx, data = [], [], []
     b = np.empty(len(constraints))
     for i, (a, bi) in enumerate(constraints):

@@ -8,14 +8,12 @@ from bellbound import (
     MeasurementStrategy,
     TwoQubitState,
     behavior_from,
-    bell_operator,
     chained,
     chsh,
     classical_bound,
     correlation_data,
     ebi,
     expectation,
-    operator_expectation,
     optimal_measurements,
     pure_state,
     seesaw_max_violation,
@@ -38,6 +36,23 @@ from bellbound.states import PAULI
 from conftest import random_state, random_strategy
 
 ROOT3 = np.sqrt(3.0)
+
+
+def bell_operator(expr: BellExpression, strategy: MeasurementStrategy) -> np.ndarray:
+    """4x4 operator sum_kl c_kl (a_k.sigma)(x)(b_l.sigma), term by term."""
+    def obs(v):
+        return sum(c * pauli for c, pauli in zip(v, PAULI))
+
+    op = np.zeros((4, 4), dtype=complex)
+    for k, l in zip(*np.nonzero(expr.coeffs)):
+        op += expr.coeffs[k, l] * np.kron(obs(strategy.alice[k]), obs(strategy.bob[l]))
+    return op
+
+
+def operator_expectation(state, expr, strategy) -> float:
+    """tr(rho S), the route independent of the correlator route a_k^T T b_l
+    that expectation takes."""
+    return float(np.real(np.trace(state.rho @ bell_operator(expr, strategy))))
 
 
 def brute_force_classical(expr: BellExpression) -> float:
@@ -584,6 +599,16 @@ class TestStrategySerialization:
         payload = {"alice": [[1, 0, 0]], "bob": [[0, 0, 1]]}
         del payload[party]
         with pytest.raises(ValueError, match=party):
+            MeasurementStrategy.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("payload", [
+        {"alice": [["1", "0", "0"]], "bob": [[True, False, False]]},
+        {"alice": [[1, 0, 0]], "bob": [[True, False, False]]},
+        {"alice": [[1, 0, 0]], "bob": [[0, "0", 1]]},
+        {"alice": [[1, 0, 0]], "bob": [[0, 0, 1], [0, 1]]},
+    ], ids=["strings-and-bools", "bools", "one-string", "ragged"])
+    def test_rejects_non_numbers(self, payload):
+        with pytest.raises(ValueError, match="must be numbers"):
             MeasurementStrategy.from_json(json.dumps(payload))
 
     def test_rejects_non_unit(self):

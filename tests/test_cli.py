@@ -1,10 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellbound
 from bellbound import cli, npa, singlet
 from bellbound.errors import SolverError
 
@@ -97,6 +101,46 @@ class TestClassicalAndTsirelson:
         code, out, _ = run(capsys, "tsirelson", "--expr", "ebi", "--level", "1")
         assert code == 0
         assert "6.92820" in out
+
+
+# Runs the non-SDP commands and library calls, then one SDP command, and
+# reports which scipy modules were loaded before and after the latter.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import bellbound, bellbound.cli
+from bellbound import bell, cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["bound", "--state", "singlet"]),
+        cli.main(["measure", "--state", "werner", "--p", "0.9"]),
+        cli.main(["classical", "--expr", "chained", "--n", "3"]),
+    ]
+    bell.seesaw_max_violation(bellbound.pure_state(0.5), bell.chained(3), restarts=2)
+    bell.violation_threshold("pure-theta", bell.chsh(), tol=1e-3)
+    before = scipy_modules()
+    codes.append(cli.main(["tsirelson", "--expr", "chsh", "--level", "1"]))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+class TestScipyLoading:
+    def test_only_sdp_commands_load_scipy(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(bellbound.__file__))
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        report = json.loads(proc.stdout)
+        assert report["codes"] == [0, 0, 0, 0]
+        assert report["before"] == []
+        assert "scipy.sparse" in report["after"]
+        assert "scipy.linalg.lapack" in report["after"]
 
 
 class TestGramDemo:

@@ -113,10 +113,12 @@ class TestSolveSpd:
             linalg.cholesky_spd(np.diag([1.0, 1e-14]))
 
 
-# Reads the thread count of each OpenBLAS copy mapped into the process.
+# Reads the thread count of each OpenBLAS copy mapped into the process after
+# one SDP solve, the point by which bellbound has loaded and pinned scipy's.
 _THREADS_PROBE = """
 import ctypes, json, os
 import bellbound
+bellbound.solve(bellbound.gram_problem())
 getters = {"libscipy_openblas64_": "scipy_openblas_get_num_threads64_",
            "libscipy_openblas-": "scipy_openblas_get_num_threads"}
 out = {}
