@@ -64,7 +64,9 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return value
 
 
-def _lookup(table: dict, kind: str, name):
+def _lookup(table: dict, kind: str, name, flag: str):
+    if name is None:
+        raise BellboundError(f"no {kind} given: pass {flag}")
     try:
         return table[name]
     except KeyError:
@@ -75,6 +77,8 @@ def _resolve_state(args: argparse.Namespace) -> states.TwoQubitState:
     if args.state_file:
         with open(args.state_file) as fh:
             return states.TwoQubitState.from_json(fh.read())
+    if args.state is None:
+        raise BellboundError(f"{args.command} requires --state or --state-file")
     if args.state in _FAMILIES:
         flag = "theta" if args.state == "pure" else "p"
         value = getattr(args, flag)
@@ -88,7 +92,7 @@ def _resolve_state(args: argparse.Namespace) -> states.TwoQubitState:
 
 
 def _resolve_expr(name: str | None, n: int) -> bell.BellExpression:
-    return _lookup(_EXPRESSIONS, "expression", name)(n)
+    return _lookup(_EXPRESSIONS, "expression", name, "--expr")(n)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -224,7 +228,7 @@ def _curve(args: argparse.Namespace, family: str, expr: bell.BellExpression, par
 def cmd_randomness(args: argparse.Namespace) -> int:
     if args.grid is None:
         raise BellboundError("randomness requires --grid start:stop:steps")
-    family = _lookup(_FAMILIES, "family", args.family)
+    family = _lookup(_FAMILIES, "family", args.family, "--family")
     expr = _resolve_expr(args.expr, args.n)
     start, stop, steps = args.grid
     lo, hi = bell.family_domain(family)

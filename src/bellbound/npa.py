@@ -12,8 +12,8 @@ randomness -log2 p*.
 
 Both problems use one reduced formulation: the moments of the entry
 classes are the variables, M(z) = z[entry_class], and every constraint
-matrix is a sparse combination of columns of one class-indicator operator
-per moment structure (see :func:`_reduced_sdp`).  Every basis starts with
+matrix combines at most two class indicators ``entry_class == c`` (see
+:func:`_reduced_sdp`).  Every basis starts with
 1, P_0..P_{k-1}, Q_0..Q_{l-1}, so the classes of the first-order moments
 <P_x>, <Q_y> and <P_x Q_y> are read straight off ``entry_class``.  The
 objective, input pair, outcome, Bell value and multiplier set only the
@@ -86,7 +86,6 @@ class MomentStructure:
     size: int
     entry_class: np.ndarray        # (size, size) class index per entry
     class_count: int
-    class_indicator: sp.csc_matrix  # (size**2, class_count) 0/1, column c = class c
 
 
 def _normalize_level(level) -> str:
@@ -120,8 +119,6 @@ def _monomial_list(k: int, l: int, level: str) -> list[Monomial]:
 
 @lru_cache(maxsize=None)
 def _structure_cached(k: int, l: int, level: str) -> MomentStructure:
-    import scipy.sparse as sp
-
     if k < 1 or l < 1:
         raise OutOfRange("each party needs at least one setting")
     monomials = _monomial_list(k, l, level)
@@ -139,16 +136,11 @@ def _structure_cached(k: int, l: int, level: str) -> MomentStructure:
                 cid = len(key_to_class)
                 key_to_class[key] = cid
             entry_class[i, j] = entry_class[j, i] = cid
-    class_count = len(key_to_class)
     return MomentStructure(
         monomials=tuple(monomials),
         size=size,
         entry_class=entry_class,
-        class_count=class_count,
-        class_indicator=sp.csc_matrix(
-            (np.ones(size * size), (np.arange(size * size), entry_class.ravel())),
-            shape=(size * size, class_count),
-        ),
+        class_count=len(key_to_class),
     )
 
 
@@ -167,18 +159,14 @@ def _first_order_classes(ms: MomentStructure, expr: BellExpression):
 def _bell_functional(ms: MomentStructure, expr: BellExpression):
     """Class vector g and constant with g . y + const = Bell value."""
     alice, bob, joint = _first_order_classes(ms, expr)
+    coeffs = expr.coeffs
     g = np.zeros(ms.class_count)
-    const = 0.0
-    for x in range(expr.alice_settings):
-        for y in range(expr.bob_settings):
-            c = float(expr.coeffs[x, y])
-            if c == 0.0:
-                continue
-            g[joint[x, y]] += 4.0 * c
-            g[alice[x]] += -2.0 * c
-            g[bob[y]] += -2.0 * c
-            const += c
-    return g, const
+    # Each class occurs once.  Python's sum adds in a loop's order (numpy's
+    # pairwise sum need not), and updating zeros keeps zero sums at +0.0.
+    g[joint] += 4.0 * coeffs
+    g[alice] -= 2.0 * sum(coeffs.T)
+    g[bob] -= 2.0 * sum(coeffs)
+    return g, float(sum(coeffs.flat))
 
 
 def _prob_functional(ms: MomentStructure, expr: BellExpression, x: int, y: int,
@@ -205,7 +193,7 @@ class _ReducedSdp:
     """A moment SDP in reduced form; see :func:`_reduced_sdp`.
 
     ``problem`` carries the constraints of the classes ``free``, validated
-    once, with zero targets and the identity-class indicator as C.  With
+    once, with zero targets b and the identity-class indicator as C.  With
     ``bell`` = (g, g_const) the Bell value is pinned through the eliminated
     class ``beta``, whose indicator is ``f0_step``.  :meth:`at` makes the
     problem of one objective by setting only b, F0 and the constant."""
@@ -249,19 +237,17 @@ def _reduced_sdp(ms: MomentStructure, bell=None) -> _ReducedSdp:
     in the Bell-free form (the Lagrangian form), whose value minus lam I
     bounds max h.
 
-    Every F_i is a combination of columns of ``ms.class_indicator``, so
-    with every class free M(z) = F0 + sum_i z_i F_i is z[entry_class].
+    A_i = r_i [entry_class == beta] - [entry_class == c_i] for the free class
+    c_i, with r_i = g[c_i] / g[beta] pinned and 0 Bell-free, so with every
+    class free M(z) = F0 + sum_i z_i F_i is z[entry_class].
     """
     import scipy.sparse as sp
 
-    n = ms.size
-    identity = int(ms.entry_class[0, 0])
-    cols = ms.class_indicator
+    ec = ms.entry_class
+    identity = int(ec[0, 0])
     free = np.flatnonzero(np.arange(ms.class_count) != identity)
-    pinned = {}
-    if bell is None:
-        f = cols[:, free]
-    else:
+    ratio, beta, pinned = np.zeros(ms.class_count), identity, {}
+    if bell is not None:
         # Eliminate one Bell-carrying class: y_beta = (target - sum g_c y_c)/g_beta.
         g = bell[0]
         weights = np.abs(g)
@@ -270,17 +256,11 @@ def _reduced_sdp(ms: MomentStructure, bell=None) -> _ReducedSdp:
         if abs(g[beta]) < 1e-12:
             raise ValueError("Bell functional carries no moment dependence")
         free = free[free != beta]
-        f = cols[:, free] - cols[:, [beta]] @ sp.csr_matrix(g[free] / g[beta])
-        pinned = dict(bell=bell, beta=beta, f0_step=cols[:, beta].toarray().reshape(n, n))
-    f = f.tocsc()
-    constraints = []
-    for i in range(f.shape[1]):
-        lo, hi = f.indptr[i], f.indptr[i + 1]
-        flat = f.indices[lo:hi]
-        a = sp.csr_matrix((-f.data[lo:hi], (flat // n, flat % n)), shape=(n, n))
-        constraints.append((a, 0.0))
-    c = cols[:, identity].toarray().reshape(n, n)
-    problem = SdpProblem(n=n, c=c, constraints=constraints)
+        ratio = g / g[beta]
+        pinned = dict(bell=bell, beta=beta, f0_step=(ec == beta) * 1.0)
+    constraints = [sp.csr_matrix(ratio[c] * (ec == beta) - (ec == c)) for c in free]
+    problem = SdpProblem(n=ms.size, c=(ec == identity) * 1.0, constraints=constraints,
+                         b=np.zeros(free.size))
     return _ReducedSdp(problem=problem, identity=identity, free=free, **pinned)
 
 

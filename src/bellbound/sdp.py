@@ -47,21 +47,25 @@ _FEAS_TOL = 1e-8
 _STEP_FRACTION = 0.98
 
 
-def _checked_objective(c, n: int) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
+def _checked_objective(c, b, n: int, m: int):
+    """C as a finite symmetric n x n array and b as m finite targets."""
+    c, b = np.asarray(c, dtype=float), np.array(b, dtype=float)
     if c.shape != (n, n):
         raise ValueError("objective matrix shape mismatch")
     if not np.all(np.isfinite(c)):
         raise ValueError("objective matrix must be finite")
     if np.max(np.abs(c - c.T)) > 1e-12:
         raise ValueError("objective matrix is not symmetric")
-    return c
+    if b.shape != (m,) or not np.all(np.isfinite(b)):
+        raise ValueError(f"need {m} finite constraint targets")
+    return c, b
 
 
 @dataclass(eq=False)
 class SdpProblem:
-    """Standard-form problem data.  Constraint matrices may be dense arrays
-    or scipy sparse matrices; all must be symmetric.
+    """Standard-form problem data: ``constraints`` holds the matrices
+    A_1..A_m, dense arrays or scipy sparse matrices, all symmetric, and
+    ``b`` the m targets.
 
     The constraints are validated and flattened into one m x n^2 operator
     when the problem is made; :meth:`with_objective` shares that operator
@@ -69,25 +73,21 @@ class SdpProblem:
 
     n: int
     c: np.ndarray
-    constraints: tuple  # ((A_i, b_i), ...)
+    constraints: tuple  # (A_1, ..., A_m)
+    b: np.ndarray
     _amat: sp.csr_matrix = field(init=False, repr=False)
     _groups: tuple = field(init=False, repr=False)
-    _b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.c = _checked_objective(self.c, self.n)
         self.constraints = tuple(self.constraints)
         if not self.constraints:
             raise ValueError("at least one equality constraint is required")
         if len(self.constraints) > self.n * (self.n + 1) // 2:
             raise ValueError("more constraints than independent matrix entries")
-        self._amat, self._groups, self._b = _flatten_constraints(
-            self.constraints, self.n
-        )
+        self.c, self.b = _checked_objective(self.c, self.b, self.n, len(self.constraints))
+        self._amat, self._groups = _flatten_constraints(self.constraints, self.n)
         if not np.all(np.isfinite(self._amat.data)):
             raise ValueError("constraint matrix must be finite")
-        if not np.all(np.isfinite(self._b)):
-            raise ValueError("constraint target must be finite")
         # Row i holds vec(A_i); its transpose permutes columns r*n+c -> c*n+r.
         cols = np.arange(self.n * self.n)
         transposed = (cols % self.n) * self.n + cols // self.n
@@ -97,14 +97,9 @@ class SdpProblem:
 
     def with_objective(self, c, b) -> "SdpProblem":
         """Copy with objective ``c`` and targets ``b`` that shares the
-        validated constraint operator."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != self._b.shape or not np.all(np.isfinite(b)):
-            raise ValueError(f"need {self._b.size} finite constraint targets")
+        validated constraints and their operator."""
         other = copy.copy(self)
-        other.c = _checked_objective(c, self.n)
-        other._b = b
-        other.constraints = tuple((a, bi) for (a, _), bi in zip(self.constraints, b))
+        other.c, other.b = _checked_objective(c, b, self.n, len(self.constraints))
         return other
 
 
@@ -121,11 +116,12 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     history: list = field(default_factory=list, repr=False)
+    reason: str = ""  # the stop that fired; see :func:`solve`
 
 
 def _flatten_constraints(constraints, n):
-    """CSR matrix of vectorized constraints, the constraints grouped by
-    nonzero count, and the targets b.
+    """CSR matrix of vectorized constraints and the constraints grouped by
+    nonzero count.
 
     Each group is (js, R, C, V): the constraint indices js and, stacked one
     row per constraint, the row indices, column indices and values of its
@@ -134,9 +130,7 @@ def _flatten_constraints(constraints, n):
     import scipy.sparse as sp
 
     rows_idx, flat_idx, data = [], [], []
-    b = np.empty(len(constraints))
-    for i, (a, bi) in enumerate(constraints):
-        b[i] = bi
+    for i, a in enumerate(constraints):
         if a.shape != (n, n):
             raise ValueError(f"constraint matrix has shape {a.shape}, expected {(n, n)}")
         coo = sp.coo_matrix(a)
@@ -154,7 +148,7 @@ def _flatten_constraints(constraints, n):
         at = amat.indptr[js][:, None] + np.arange(k)
         flat = amat.indices[at]
         groups.append((js, flat // n, flat % n, amat.data[at]))
-    return amat, tuple(groups), b
+    return amat, tuple(groups)
 
 
 def _max_step(ell: np.ndarray, dm: np.ndarray) -> float:
@@ -215,10 +209,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
     the last iterate).  An iterate that diverges or leaves the cone is
     replaced by the most balanced one seen, recorded once more, with status
     ``max_iterations`` if that one was within 1e-5, else ``numerical_failure``.
+    ``reason`` names the stop that fired: ``optimal``, ``iteration_cap``,
+    ``mu_floor``, ``stall`` (no progress for 20 iterates), ``short_step``
+    (both steps below 1e-9), ``schur_breakdown`` or ``diverged``.
     """
     n = problem.n
     c_int = 0.5 * (problem.c + problem.c.T)
-    amat, b = problem._amat, problem._b
+    amat, b = problem._amat, problem.b
     amat_t = amat.T
     m = len(problem.constraints)
 
@@ -230,7 +227,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     eye_m = np.eye(m)
 
     history: list[dict] = []
-    status = MAX_ITERATIONS
+    status, reason = MAX_ITERATIONS, ""
     iterations = 0
     best = [np.inf, np.inf, np.inf]  # rel_gap, pres, dres
     prev_objs = (np.inf, np.inf)
@@ -265,6 +262,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             x, y, s = best_iterate
             record()
             status = MAX_ITERATIONS if best_worst <= 1e-5 else NUMERICAL_FAILURE
+            reason = "diverged"
             break
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         worst = max(rel_gap, pres, dres)
@@ -272,7 +270,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             best_worst = worst
             best_iterate = (x, y, s)
         if rel_gap <= _GAP_TOL and pres <= _FEAS_TOL and dres <= _FEAS_TOL:
-            status = OPTIMAL
+            status = reason = OPTIMAL
             break
         progressed = False
         for slot, value in enumerate((rel_gap, pres, dres)):
@@ -286,7 +284,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
             progressed = True
         prev_objs = (pobj, dobj)
         since_progress = 0 if progressed else since_progress + 1
-        if iterations == _MAX_ITER or mu < 1e-14 or since_progress > 20:
+        reason = ("iteration_cap" if iterations == _MAX_ITER else "mu_floor" if mu < 1e-14
+                  else "stall" if since_progress > 20 else "")
+        if reason:
             break
 
         s_inv = solve_cholesky(ell_s, eye)
@@ -307,7 +307,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             except NotPositiveDefinite:
                 reg *= 1e3
         if ell_b is None:
-            status = NUMERICAL_FAILURE
+            status, reason = NUMERICAL_FAILURE, "schur_breakdown"
             break
 
         a_sinv = amat @ s_inv.ravel()
@@ -350,7 +350,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         alpha_p, x_next, ell_x_next = _step(x, ell_x, dx, alpha_p)
         alpha_d, s_next, ell_s_next = _step(s, ell_s, ds, alpha_d)
         if max(alpha_p, alpha_d) < 1e-9:
-            break  # stalled; keep the best-effort iterate
+            reason = "short_step"  # keep the best-effort iterate
+            break
         x, ell_x, s, ell_s = x_next, ell_x_next, s_next, ell_s_next
         y = y + alpha_d * dy
 
@@ -367,6 +368,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         primal_residual=final["primal_residual"],
         dual_residual=final["dual_residual"],
         history=history,
+        reason=reason,
     )
 
 
@@ -382,7 +384,7 @@ def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
     if np.all(np.isfinite(solution.x)):
         w, v = np.linalg.eigh(0.5 * (solution.x + solution.x.T))
         x_plus = (v * np.clip(w, 0.0, None)) @ v.T
-        residual = problem._b - problem._amat @ x_plus.ravel()
+        residual = problem.b - problem._amat @ x_plus.ravel()
         bound = float(np.sum(problem.c * x_plus) + np.sum(np.abs(residual)))
     if not np.isfinite(bound):
         raise SolverError(
@@ -404,8 +406,8 @@ def gram_problem() -> SdpProblem:
     for i in range(4):
         a = np.zeros((4, 4))
         a[i, i] = 1.0
-        constraints.append((a, 1.0))
-    return SdpProblem(n=4, c=0.5 * w, constraints=constraints)
+        constraints.append(a)
+    return SdpProblem(n=4, c=0.5 * w, constraints=constraints, b=np.ones(4))
 
 
 def dual_certificate_check(v: np.ndarray) -> tuple[float, bool]:

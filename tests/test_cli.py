@@ -461,3 +461,17 @@ class TestArgumentErrors:
             cli.main(["randomness", "--family", "werner", "--expr", "chsh",
                       "--grid", "oops"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["bound"], "--state or --state-file"),
+        (["measure", "--json"], "--state or --state-file"),
+        (["classical"], "--expr"),
+        (["tsirelson", "--level", "1"], "--expr"),
+        (["randomness", "--family", "werner", "--grid", "0:1:3"], "--expr"),
+        (["randomness", "--expr", "chsh", "--grid", "0:1:3"], "--family"),
+    ], ids=["bound", "measure", "classical", "tsirelson", "randomness-expr",
+            "randomness-family"])
+    def test_missing_option_names_its_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert flag in err and "None" not in err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bellbound import (
     RandomnessPoint,
@@ -31,6 +32,65 @@ def scenario(k: int, l: int) -> BellExpression:
     return BellExpression("zero", np.zeros((k, l)))
 
 
+EXPRESSIONS = {"ebi": ebi(), "chsh": chsh(), "chained3": chained(3), "chained4": chained(4)}
+
+
+def same_bits(ours, theirs) -> bool:
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return (ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            and ours.tobytes() == theirs.tobytes())
+
+
+def loop_bell_functional(ms, expr):
+    """Reference: the per-coefficient loop that filled g before it was
+    filled by class."""
+    alice, bob, joint = npa._first_order_classes(ms, expr)
+    g = np.zeros(ms.class_count)
+    const = 0.0
+    for x in range(expr.alice_settings):
+        for y in range(expr.bob_settings):
+            c = float(expr.coeffs[x, y])
+            if c == 0.0:
+                continue
+            g[joint[x, y]] += 4.0 * c
+            g[alice[x]] += -2.0 * c
+            g[bob[y]] += -2.0 * c
+            const += c
+    return g, const
+
+
+def indicator_reduced_sdp(ms, bell=None):
+    """Reference: the constraints, C and f0_step of the reduced SDP built
+    from an n^2 x classes class-indicator operator, column by column."""
+    n = ms.size
+    cols = sp.csc_matrix(
+        (np.ones(n * n), (np.arange(n * n), ms.entry_class.ravel())),
+        shape=(n * n, ms.class_count),
+    )
+    identity = int(ms.entry_class[0, 0])
+    free = np.flatnonzero(np.arange(ms.class_count) != identity)
+    f0_step = None
+    if bell is None:
+        f = cols[:, free]
+    else:
+        g = bell[0]
+        weights = np.abs(g)
+        weights[identity] = 0.0
+        beta = int(np.argmax(weights))
+        free = free[free != beta]
+        f = cols[:, free] - cols[:, [beta]] @ sp.csr_matrix(g[free] / g[beta])
+        f0_step = cols[:, beta].toarray().reshape(n, n)
+    f = f.tocsc()
+    constraints = []
+    for i in range(f.shape[1]):
+        lo, hi = f.indptr[i], f.indptr[i + 1]
+        flat = f.indices[lo:hi]
+        constraints.append(
+            sp.csr_matrix((-f.data[lo:hi], (flat // n, flat % n)), shape=(n, n))
+        )
+    return constraints, cols[:, identity].toarray().reshape(n, n), f0_step
+
+
 class TestMomentStructure:
     def test_monomial_counts(self):
         assert build_moment_structure(2, 2, 1).size == 5
@@ -42,7 +102,7 @@ class TestMomentStructure:
         assert ms.monomials[0].alice == () and ms.monomials[0].bob == ()
         assert ms.entry_class[0, 0] == 0
         assert np.count_nonzero(ms.entry_class == 0) == 1
-        assert ms.class_indicator[:, 0].nonzero()[0].tolist() == [0]
+        assert np.flatnonzero(ms.entry_class == 0).tolist() == [0]
 
     def test_entry_classes_are_symmetric(self):
         ms = build_moment_structure(3, 4, 2)
@@ -84,6 +144,20 @@ class TestMomentStructure:
         for problem in (tsirelson, guess):
             assert len(problem.constraints) <= budget
 
+    @pytest.mark.parametrize("level", npa.LEVELS)
+    @pytest.mark.parametrize("name", list(EXPRESSIONS))
+    def test_every_problem_counts_m_once(self, name, level):
+        # The benchmark's tracer reads m as len(problem.constraints).  The
+        # Bell-free form makes the Tsirelson and Lagrangian problems, the
+        # pinned form the equality ones.
+        expr = EXPRESSIONS[name]
+        ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
+        prob = npa._prob_functional(ms, expr, 0, 0, 0, 0)
+        free, pinned = (npa._moment_sdp(expr, level, form) for form in (False, True))
+        for problem in (free.problem, free.at(npa._bell_functional(ms, expr))[0],
+                        pinned.problem, pinned.at(prob, classical_bound(expr))[0]):
+            assert len(problem.constraints) == problem._amat.shape[0] == problem.b.size
+
     @pytest.mark.parametrize("level", ["1", "1+AB", "2"])
     @pytest.mark.parametrize("expr", [ebi(), chsh(), chained(3)],
                              ids=["ebi", "chsh", "chained3"])
@@ -99,9 +173,42 @@ class TestMomentStructure:
             z = rng.normal(size=ms.class_count)
             z[identity] = 1.0
             matrix = problem.c.copy()
-            for (a, _), cid in zip(problem.constraints, free, strict=True):
+            for a, cid in zip(problem.constraints, free, strict=True):
                 matrix -= z[cid] * a.toarray()
             assert np.max(np.abs(matrix - z[ms.entry_class])) <= 1e-14
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    @pytest.mark.parametrize("level", npa.LEVELS)
+    @pytest.mark.parametrize("name", list(EXPRESSIONS))
+    def test_matches_class_indicator_build(self, name, level, pinned):
+        expr = EXPRESSIONS[name]
+        ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
+        bell = npa._bell_functional(ms, expr) if pinned else None
+        sdp = npa._reduced_sdp(ms, bell)
+        constraints, c, f0_step = indicator_reduced_sdp(ms, bell)
+        # Equal constraint matrices flatten to equal operators and groups.
+        assert len(sdp.problem.constraints) == len(constraints)
+        for ours, theirs in zip(sdp.problem.constraints, constraints):
+            assert all(same_bits(getattr(ours, f), getattr(theirs, f))
+                       for f in ("indptr", "indices", "data"))
+        assert same_bits(sdp.problem.c, c)
+        assert (sdp.f0_step is None) == (f0_step is None)
+        assert f0_step is None or same_bits(sdp.f0_step, f0_step)
+
+    @pytest.mark.parametrize("level", npa.LEVELS)
+    def test_bell_functional_matches_loop(self, level):
+        # numpy's pairwise sum reorders a row of 8 or more terms.
+        rng = np.random.default_rng(40)
+        tables = [
+            BellExpression("float", rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape))
+            for shape in ((3, 4), (3, 11))
+        ]
+        for expr in [*EXPRESSIONS.values(), *tables]:
+            ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
+            g, const = npa._bell_functional(ms, expr)
+            g_ref, const_ref = loop_bell_functional(ms, expr)
+            assert same_bits(g, g_ref)
+            assert type(const) is float and same_bits(const, const_ref)
 
     def test_unsupported_level(self):
         with pytest.raises(UnsupportedLevel):
@@ -270,7 +377,7 @@ class TestGuessProblemReuse:
                     fresh, fresh_const = npa._reduced_sdp(ms, bell).at(prob, value)
                     assert problem._amat is reused.problem._amat
                     assert np.array_equal(problem.c, fresh.c)
-                    assert np.array_equal(problem._b, fresh._b)
+                    assert np.array_equal(problem.b, fresh.b)
                     assert const == fresh_const
                     best = max(
                         best, fresh_const + certified_upper_bound(fresh, solve(fresh))

@@ -43,8 +43,8 @@ def engineered_problem(rng: np.random.Generator):
         a = rng.normal(size=(n, n))
         mats.append((a + a.T) / 2)
     c = sum(y * a for y, a in zip(y_star, mats)) + s_star
-    constraints = [(a, float(np.sum(a * x_star))) for a in mats]
-    problem = SdpProblem(n=n, c=c, constraints=constraints)
+    b = [float(np.sum(a * x_star)) for a in mats]
+    problem = SdpProblem(n=n, c=c, constraints=mats, b=b)
     return problem, float(np.sum(c * x_star))
 
 
@@ -52,22 +52,21 @@ class TestValidation:
     def test_rejects_asymmetric_objective(self):
         c = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            SdpProblem(n=2, c=c, constraints=[(np.eye(2), 1.0)])
+            SdpProblem(n=2, c=c, constraints=[np.eye(2)], b=[1.0])
 
     def test_rejects_asymmetric_constraint(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            SdpProblem(n=2, c=np.eye(2), constraints=[(a, 1.0)])
+            SdpProblem(n=2, c=np.eye(2), constraints=[a], b=[1.0])
 
     def test_rejects_too_many_constraints(self):
-        cons = [(np.eye(2), 1.0)] * 4
         with pytest.raises(ValueError):
-            SdpProblem(n=2, c=np.eye(2), constraints=cons)
+            SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2)] * 4, b=np.ones(4))
 
     def test_rejects_non_finite_objective(self):
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError):
-                SdpProblem(n=1, c=np.array([[bad]]), constraints=[(np.eye(1), 1.0)])
+                SdpProblem(n=1, c=np.array([[bad]]), constraints=[np.eye(1)], b=[1.0])
 
     def test_rejects_non_finite_constraint(self):
         # NaN entries would pass the symmetry test: every comparison with
@@ -76,21 +75,26 @@ class TestValidation:
             dense = np.full((2, 2), bad)
             for a in (dense, sp.csr_matrix(dense)):
                 with pytest.raises(ValueError, match="finite"):
-                    SdpProblem(n=2, c=np.eye(2), constraints=[(a, 1.0)])
+                    SdpProblem(n=2, c=np.eye(2), constraints=[a], b=[1.0])
+
+    def test_rejects_bad_targets(self):
+        for bad in ([1.0, 2.0], [np.nan], [[1.0]]):
+            with pytest.raises(ValueError, match="finite constraint targets"):
+                SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2)], b=bad)
 
     def test_with_objective_shares_constraints(self):
         problem = gram_problem()
-        other = problem.with_objective(np.eye(4), problem._b)
+        other = problem.with_objective(np.eye(4), problem.b)
         assert other._amat is problem._amat and other._groups is problem._groups
-        assert all(a is b for (a, _), (b, _) in zip(other.constraints, problem.constraints))
+        assert other.constraints is problem.constraints
         assert np.array_equal(other.c, np.eye(4))
         assert abs(solve(other).primal_obj - 4.0) < 1e-7
         with pytest.raises(ValueError):
-            problem.with_objective(np.triu(np.ones((4, 4))), problem._b)
+            problem.with_objective(np.triu(np.ones((4, 4))), problem.b)
         # Diagonal 2 scales the optimal Gram matrix by 2: optimum -4.
         doubled = problem.with_objective(problem.c, np.full(4, 2.0))
-        assert [bi for _, bi in doubled.constraints] == [2.0] * 4
-        assert np.array_equal(problem._b, np.ones(4))
+        assert np.array_equal(doubled.b, np.full(4, 2.0))
+        assert np.array_equal(problem.b, np.ones(4))
         assert abs(solve(doubled).primal_obj + 4.0) < 1e-7
         for bad in (np.full(3, 2.0), [1.0, 1.0, np.nan, 1.0]):
             with pytest.raises(ValueError):
@@ -99,9 +103,7 @@ class TestValidation:
 
 class TestBasicSolves:
     def test_scalar_equality(self):
-        prob = SdpProblem(
-            n=1, c=np.array([[1.0]]), constraints=[(np.array([[1.0]]), 3.0)]
-        )
+        prob = SdpProblem(n=1, c=np.array([[1.0]]), constraints=[np.array([[1.0]])], b=[3.0])
         sol = solve(prob)
         assert sol.status == OPTIMAL
         assert abs(sol.primal_obj - 3.0) < 1e-7
@@ -119,7 +121,7 @@ class TestBasicSolves:
 class TestGramProblem:
     def test_primal_and_dual_value(self):
         sol = solve(gram_problem())
-        assert sol.status == OPTIMAL
+        assert sol.status == sol.reason == OPTIMAL
         assert abs(sol.primal_obj + 2.0) <= 1e-6
         assert abs(sol.dual_obj + 2.0) <= 1e-6
 
@@ -158,7 +160,7 @@ class TestCertifiedUpperBound:
         problem = gram_problem()
         return SdpSolution(
             x=x, y=y, s=np.zeros((4, 4)), primal_obj=float(np.sum(problem.c * x)),
-            dual_obj=float(problem._b @ y), gap=0.0, status=MAX_ITERATIONS,
+            dual_obj=float(problem.b @ y), gap=0.0, status=MAX_ITERATIONS,
             iterations=0, primal_residual=0.0, dual_residual=0.0,
         )
 
@@ -240,21 +242,19 @@ class TestFailurePaths:
 
     @staticmethod
     def check_fallback(sol, iterations):
-        assert sol.status == NUMERICAL_FAILURE
+        assert sol.status == NUMERICAL_FAILURE and sol.reason == "diverged"
         assert sol.iterations == iterations
         assert np.all(np.isfinite(sol.x))
         assert len(sol.history) == sol.iterations + 2
 
     def test_infeasible_trace(self):
-        problem = SdpProblem(n=2, c=np.eye(2), constraints=[(np.eye(2), -1.0)])
+        problem = SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2)], b=[-1.0])
         with pytest.warns(RuntimeWarning):
             sol = solve(problem)
         self.check_fallback(sol, 17)
 
     def test_unbounded_objective(self):
-        problem = SdpProblem(
-            n=2, c=-np.eye(2), constraints=[(np.diag([1.0, 0.0]), 1.0)]
-        )
+        problem = SdpProblem(n=2, c=-np.eye(2), constraints=[np.diag([1.0, 0.0])], b=[1.0])
         with pytest.warns(RuntimeWarning):
             sol = solve(problem)
         self.check_fallback(sol, 16)
@@ -263,12 +263,19 @@ class TestFailurePaths:
         # Infeasible: 2 X12 <= tr X = 1 for PSD X.  This one breaks down on
         # mu < 0, with no overflow along the way.
         off = np.array([[0.0, 1.0], [1.0, 0.0]])
-        problem = SdpProblem(
-            n=2, c=np.eye(2), constraints=[(np.eye(2), 1.0), (off, 5.0)]
-        )
+        problem = SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2), off], b=[1.0, 5.0])
         sol = solve(problem)
         self.check_fallback(sol, 11)
         assert sol.history[-2]["mu"] < 0
+
+    def test_mu_floor_is_named(self):
+        # Infeasible (x11 = 1 and 2 x11 = 3), yet it stops on mu < 1e-14
+        # with a tiny dual residual, under the same status as the cap.
+        problem = SdpProblem(n=2, c=np.eye(2), b=[1.0, 3.0],
+                             constraints=[np.diag([1.0, 0.0]), np.diag([2.0, 0.0])])
+        sol = solve(problem)
+        assert sol.status == MAX_ITERATIONS and sol.reason == "mu_floor"
+        assert sol.iterations == 10 and sol.history[-1]["mu"] < 1e-14
 
 
 class TestFactorizations:
@@ -300,7 +307,7 @@ def loop_schur(problem: SdpProblem, x: np.ndarray, s_inv: np.ndarray) -> np.ndar
     """Reference: the per-constraint loop the batched assembly replaced."""
     n = problem.n
     kmat = np.empty((len(problem.constraints), n * n))
-    for j, (a, _) in enumerate(problem.constraints):
+    for j, a in enumerate(problem.constraints):
         if sp.issparse(a):
             coo = a.tocoo()
             rr, cc, vv = coo.row, coo.col, coo.data
@@ -316,7 +323,7 @@ def operator_arrays(problem: SdpProblem) -> list:
     """Every array of the flattened constraint operator, groups included."""
     amat = problem._amat
     groups = [arr for group in problem._groups for arr in group]
-    return [amat.indptr, amat.indices, amat.data, problem._b, *groups]
+    return [amat.indptr, amat.indices, amat.data, problem.b, *groups]
 
 
 def ebi_guess_problem(bell_value: float) -> SdpProblem:
@@ -354,8 +361,8 @@ def corner_problem() -> SdpProblem:
         a = np.zeros((n, n))
         a[:-1, :-1] = np.where(ms.entry_class == cid, -1.0, 0.0)
         a[-1, -1] = -g[cid]
-        constraints.append((sp.csr_matrix(a), h[cid]))
-    return SdpProblem(n=n, c=c, constraints=constraints)
+        constraints.append(sp.csr_matrix(a))
+    return SdpProblem(n=n, c=c, constraints=constraints, b=h[1:])
 
 
 class TestSchurAssembly:
@@ -373,7 +380,7 @@ class TestSchurAssembly:
         x, s = random_spd(rng, n), random_spd(rng, n)
         s_inv = np.linalg.inv(s)
         s_inv = 0.5 * (s_inv + s_inv.T)
-        dense = [a.toarray() if sp.issparse(a) else np.asarray(a) for a, _ in problem.constraints]
+        dense = [a.toarray() if sp.issparse(a) else np.asarray(a) for a in problem.constraints]
         # B_ij = tr(A_i X A_j S^-1) = sum(A_i * (X A_j S^-1)^T)
         prods = np.array([(x @ a @ s_inv).T.ravel() for a in dense])
         oracle = np.array([a.ravel() for a in dense]) @ prods.T
@@ -384,9 +391,8 @@ class TestSchurAssembly:
         assert np.array_equal(schur, loop_schur(problem, x, s_inv))
 
         # Dense and sparse constraints are read alike, down to the iterates.
-        targets = [bi for _, bi in problem.constraints]
         forms = [
-            SdpProblem(n=n, c=problem.c, constraints=list(zip(mats, targets)))
+            SdpProblem(n=n, c=problem.c, constraints=mats, b=problem.b)
             for mats in (dense, [sp.csr_matrix(a) for a in dense])
         ]
         expected = operator_arrays(problem)
