@@ -116,7 +116,7 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     history: list = field(default_factory=list, repr=False)
-    reason: str = ""  # the stop that fired; see :func:`solve`
+    reason: str = ""  # the stop that fired; unless optimal, x is the most balanced iterate
 
 
 def _flatten_constraints(constraints, n):
@@ -203,15 +203,16 @@ def _step(m: np.ndarray, ell: np.ndarray, dm: np.ndarray, alpha: float):
 def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration to the 1e-8 relative tolerances.
 
-    ``status`` is ``optimal`` when every stopping criterion was met,
-    ``numerical_failure`` when the Schur matrix would not factor, and
-    otherwise ``max_iterations`` (cap, stall or mu below 1e-14, returning
-    the last iterate).  An iterate that diverges or leaves the cone is
-    replaced by the most balanced one seen, recorded once more, with status
-    ``max_iterations`` if that one was within 1e-5, else ``numerical_failure``.
-    ``reason`` names the stop that fired: ``optimal``, ``iteration_cap``,
-    ``mu_floor``, ``stall`` (no progress for 20 iterates), ``short_step``
-    (both steps below 1e-9), ``schur_breakdown`` or ``diverged``.
+    ``reason`` names the stop that fired: ``optimal`` (every tolerance
+    met), ``iteration_cap`` (200 iterates), ``mu_floor`` (mu below 1e-14),
+    ``short_step`` (both steps below 1e-9), ``schur_breakdown`` (the Schur
+    matrix would not factor) or ``diverged`` (the iterate is not finite or
+    left the cone).  Every stop but ``optimal`` returns the most balanced
+    iterate seen, the one with the smallest max(rel_gap, pres, dres),
+    recorded once more at the end of ``history`` when it is not the last.
+    ``status`` is ``optimal``, ``numerical_failure`` on a Schur breakdown
+    or on divergence when no iterate came within 1e-5, and otherwise
+    ``max_iterations``.
     """
     n = problem.n
     c_int = 0.5 * (problem.c + problem.c.T)
@@ -229,9 +230,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     history: list[dict] = []
     status, reason = MAX_ITERATIONS, ""
     iterations = 0
-    best = [np.inf, np.inf, np.inf]  # rel_gap, pres, dres
-    prev_objs = (np.inf, np.inf)
-    since_progress = 0
     best_worst = np.inf
     best_iterate = (x, y, s)
 
@@ -257,10 +255,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     for iterations in range(_MAX_ITER + 1):
         pobj, dobj, rd, pres, dres, mu = record()
         if not np.all(np.isfinite([pobj, dobj, mu, pres, dres])) or mu < 0:
-            # The iterate diverged or left the cone; fall back to the most
-            # balanced iterate seen.
-            x, y, s = best_iterate
-            record()
             status = MAX_ITERATIONS if best_worst <= 1e-5 else NUMERICAL_FAILURE
             reason = "diverged"
             break
@@ -272,20 +266,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if rel_gap <= _GAP_TOL and pres <= _FEAS_TOL and dres <= _FEAS_TOL:
             status = reason = OPTIMAL
             break
-        progressed = False
-        for slot, value in enumerate((rel_gap, pres, dres)):
-            if value < 0.99 * best[slot]:
-                best[slot] = value
-                progressed = True
-        if (
-            abs(pobj - prev_objs[0]) > 1e-9 * (1.0 + abs(pobj))
-            or abs(dobj - prev_objs[1]) > 1e-9 * (1.0 + abs(dobj))
-        ):
-            progressed = True
-        prev_objs = (pobj, dobj)
-        since_progress = 0 if progressed else since_progress + 1
-        reason = ("iteration_cap" if iterations == _MAX_ITER else "mu_floor" if mu < 1e-14
-                  else "stall" if since_progress > 20 else "")
+        reason = "iteration_cap" if iterations == _MAX_ITER else "mu_floor" if mu < 1e-14 else ""
         if reason:
             break
 
@@ -350,11 +331,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
         alpha_p, x_next, ell_x_next = _step(x, ell_x, dx, alpha_p)
         alpha_d, s_next, ell_s_next = _step(s, ell_s, ds, alpha_d)
         if max(alpha_p, alpha_d) < 1e-9:
-            reason = "short_step"  # keep the best-effort iterate
+            reason = "short_step"
             break
         x, ell_x, s, ell_s = x_next, ell_x_next, s_next, ell_s_next
         y = y + alpha_d * dy
 
+    if status != OPTIMAL and best_iterate[1] is not y:
+        # One exit for every failed solve: the most balanced iterate seen.
+        # Only y is rebound at every step, so it names the iterate.
+        x, y, s = best_iterate
+        record()
     final = history[-1]
     return SdpSolution(
         x=x,

@@ -12,6 +12,7 @@ from bellbound import (
     dual_certificate_check,
     gram_problem,
     npa,
+    sdp,
     solve,
 )
 from bellbound.errors import SolverError
@@ -235,10 +236,33 @@ class TestSolverInvariants:
         assert sol.iterations < 200
 
 
+def failing_problems() -> dict:
+    """Problems without an optimum."""
+    off = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return {
+        "infeasible_trace": SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2)], b=[-1.0]),
+        "unbounded": SdpProblem(n=2, c=-np.eye(2), constraints=[np.diag([1.0, 0.0])], b=[1.0]),
+        # Infeasible: 2 X12 <= tr X = 1 for PSD X.
+        "off_diagonal": SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2), off],
+                                   b=[1.0, 5.0]),
+        # Infeasible: x11 = 1 and 2 x11 = 3.
+        "mu_floor": SdpProblem(n=2, c=np.eye(2), b=[1.0, 3.0],
+                               constraints=[np.diag([1.0, 0.0]), np.diag([2.0, 0.0])]),
+    }
+
+
+def worst_measure(record: dict) -> float:
+    """max(rel_gap, pres, dres) of one history record, as the solver ranks
+    its iterates."""
+    pobj, dobj = record["primal_obj"], record["dual_obj"]
+    rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    return max(rel_gap, record["primal_residual"], record["dual_residual"])
+
+
 class TestFailurePaths:
-    """Problems without an optimum: the iterate diverges or leaves the cone,
-    and the solver falls back to the most balanced iterate seen, recording
-    it once more."""
+    """Problems without an optimum, and a solve cut short by the iteration
+    cap.  Every stop but ``optimal`` returns the most balanced iterate
+    seen, recording it once more after the record of the stop."""
 
     @staticmethod
     def check_fallback(sol, iterations):
@@ -248,34 +272,53 @@ class TestFailurePaths:
         assert len(sol.history) == sol.iterations + 2
 
     def test_infeasible_trace(self):
-        problem = SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2)], b=[-1.0])
         with pytest.warns(RuntimeWarning):
-            sol = solve(problem)
+            sol = solve(failing_problems()["infeasible_trace"])
         self.check_fallback(sol, 17)
 
     def test_unbounded_objective(self):
-        problem = SdpProblem(n=2, c=-np.eye(2), constraints=[np.diag([1.0, 0.0])], b=[1.0])
         with pytest.warns(RuntimeWarning):
-            sol = solve(problem)
+            sol = solve(failing_problems()["unbounded"])
         self.check_fallback(sol, 16)
 
     def test_off_diagonal_beyond_trace(self):
-        # Infeasible: 2 X12 <= tr X = 1 for PSD X.  This one breaks down on
-        # mu < 0, with no overflow along the way.
-        off = np.array([[0.0, 1.0], [1.0, 0.0]])
-        problem = SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2), off], b=[1.0, 5.0])
-        sol = solve(problem)
+        # This one breaks down on mu < 0, with no overflow along the way.
+        sol = solve(failing_problems()["off_diagonal"])
         self.check_fallback(sol, 11)
         assert sol.history[-2]["mu"] < 0
 
     def test_mu_floor_is_named(self):
-        # Infeasible (x11 = 1 and 2 x11 = 3), yet it stops on mu < 1e-14
-        # with a tiny dual residual, under the same status as the cap.
-        problem = SdpProblem(n=2, c=np.eye(2), b=[1.0, 3.0],
-                             constraints=[np.diag([1.0, 0.0]), np.diag([2.0, 0.0])])
-        sol = solve(problem)
+        # It stops on mu < 1e-14 with a tiny dual residual, under the same
+        # status as the cap, and returns an early, more balanced iterate.
+        sol = solve(failing_problems()["mu_floor"])
         assert sol.status == MAX_ITERATIONS and sol.reason == "mu_floor"
-        assert sol.iterations == 10 and sol.history[-1]["mu"] < 1e-14
+        assert sol.iterations == 10 and sol.history[-2]["mu"] < 1e-14
+        assert len(sol.history) == sol.iterations + 2
+        assert sol.history[-1]["mu"] > 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", [*failing_problems(), "iteration_cap"])
+    def test_one_exit_returns_the_most_balanced_iterate(self, monkeypatch, name):
+        if name == "iteration_cap":
+            # At this seed the worst measure rises at iterate 4 (9.4e-2 to
+            # 9.5e-2), so a cap of 4 stops on an iterate worse than the one
+            # before it.
+            problem, _ = engineered_problem(np.random.default_rng(182))
+            monkeypatch.setattr(sdp, "_MAX_ITER", 4)
+        else:
+            problem = failing_problems()[name]
+        sol = solve(problem)
+        if name == "iteration_cap":
+            assert sol.reason == name and sol.iterations == 4
+        *earlier, final = sol.history
+        assert len(earlier) == sol.iterations + 1
+        # The solver ranks only iterates inside the cone.
+        ranked = [r for r in earlier if r["mu"] >= 0 and np.isfinite(worst_measure(r))]
+        assert final == min(ranked, key=worst_measure)
+        c_sym = 0.5 * (problem.c + problem.c.T)
+        assert float(np.sum(c_sym * sol.x)) == final["primal_obj"] == sol.primal_obj
+        assert float(problem.b @ sol.y) == final["dual_obj"] == sol.dual_obj
+        assert sol.status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and sol.reason != "stall"
 
 
 class TestFactorizations:
