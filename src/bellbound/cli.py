@@ -31,13 +31,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import bell, npa, sdp, states
-from .errors import BellboundError, InfeasibleValue, NotPositiveDefinite, SolverError
+from .errors import BellboundError, InfeasibleValue, SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (SolverError, NotPositiveDefinite, InfeasibleValue)
+_NUMERICAL_ERRORS = (SolverError, InfeasibleValue)
 
 _EXPRESSIONS = {
     "ebi": lambda n: bell.ebi(),

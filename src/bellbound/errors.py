@@ -5,10 +5,6 @@ class BellboundError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotPositiveDefinite(BellboundError):
-    """A Cholesky pivot fell at or below the pivot threshold."""
-
-
 class OutOfRange(BellboundError):
     """A parameter lies outside its documented domain."""
 

@@ -1,7 +1,7 @@
 """
 Dense linear-algebra kernels shared by the other modules: a Hermitian
-check, a Cholesky factorization with a pivot floor, and triangular and
-symmetric positive-definite solves on Cholesky factors.
+check, and triangular and symmetric positive-definite solves on Cholesky
+factors.
 
 All routines are pure functions of plain numpy arrays (complex128 for
 operator algebra, float64 for correlation matrices) and are safe to share
@@ -24,11 +24,8 @@ import os
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
-
 # Central tolerance record.
 EPS_HERM = 1e-12    # max elementwise |M - M^dag| for "Hermitian"
-EPS_CHOL = 1e-13    # smallest acceptable Cholesky pivot
 
 
 def _pin_openblas(module_name: str, symbol: str) -> None:
@@ -64,21 +61,6 @@ def _dtrtrs():
 
 def is_hermitian(m: np.ndarray, tol: float = EPS_HERM) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def cholesky_spd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
-
-    Raises NotPositiveDefinite when the factorization breaks down or any
-    pivot (squared diagonal of the factor) is at or below EPS_CHOL.
-    """
-    try:
-        ell = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    if float(np.min(np.diag(ell)) ** 2) <= EPS_CHOL:
-        raise NotPositiveDefinite("Cholesky pivot at or below threshold")
-    return ell
 
 
 def _upper_solve(u: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:

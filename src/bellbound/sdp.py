@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SolverError
-from .linalg import cholesky_spd, solve_cholesky, solve_lower
+from .errors import SolverError
+from .linalg import solve_cholesky, solve_lower
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
@@ -206,13 +206,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
     ``reason`` names the stop that fired: ``optimal`` (every tolerance
     met), ``iteration_cap`` (200 iterates), ``mu_floor`` (mu below 1e-14),
     ``short_step`` (both steps below 1e-9), ``schur_breakdown`` (the Schur
-    matrix would not factor) or ``diverged`` (the iterate is not finite or
-    left the cone).  Every stop but ``optimal`` returns the most balanced
-    iterate seen, the one with the smallest max(rel_gap, pres, dres),
-    recorded once more at the end of ``history`` when it is not the last.
-    ``status`` is ``optimal``, ``numerical_failure`` on a Schur breakdown
-    or on divergence when no iterate came within 1e-5, and otherwise
-    ``max_iterations``.
+    matrix would not factor) or ``diverged`` (the iterate or a direction
+    is not finite, or mu < 0).  Every stop but ``optimal`` returns the
+    most balanced iterate seen, the one with the smallest max(rel_gap,
+    pres, dres), recorded once more at the end of ``history`` when it is
+    not the last.  ``status`` is ``optimal``, ``numerical_failure`` on a
+    Schur breakdown or on divergence when no iterate came within 1e-5, and
+    otherwise ``max_iterations``.
     """
     n = problem.n
     c_int = 0.5 * (problem.c + problem.c.T)
@@ -255,7 +255,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     for iterations in range(_MAX_ITER + 1):
         pobj, dobj, rd, pres, dres, mu = record()
         if not np.all(np.isfinite([pobj, dobj, mu, pres, dres])) or mu < 0:
-            status = MAX_ITERATIONS if best_worst <= 1e-5 else NUMERICAL_FAILURE
             reason = "diverged"
             break
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -275,19 +274,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         schur = _schur_complement(problem, x, s_inv)
 
-        # Jacobi-scaled Cholesky with escalating regularization; the raw
-        # Schur matrix mixes rows of very different magnitudes.
+        # Jacobi-scaled, as rows differ widely in magnitude.  One Cholesky
+        # under a fixed 1e-14 shift, with no pivot floor (as for X and S in
+        # _step) and no retry: if it fails, the solve stops.
         diag_scale = np.sqrt(np.clip(np.diag(schur), 1e-300, None))
         scaled = schur / diag_scale[:, None] / diag_scale[None, :]
-        ell_b = None
-        reg = 1e-14
-        for attempt in range(6):
-            try:
-                ell_b = cholesky_spd(scaled + reg * eye_m)
-                break
-            except NotPositiveDefinite:
-                reg *= 1e3
-        if ell_b is None:
+        try:
+            ell_b = np.linalg.cholesky(scaled + 1e-14 * eye_m)
+        except np.linalg.LinAlgError:
             status, reason = NUMERICAL_FAILURE, "schur_breakdown"
             break
 
@@ -309,22 +303,26 @@ def solve(problem: SdpProblem) -> SdpSolution:
             dx = nu * s_inv - x - (x @ ds + corr) @ s_inv
             return 0.5 * (dx + dx.T), dy, ds
 
-        # Predictor (affine scaling, target 0).
-        dx_a, _, ds_a = direction(0.0, np.zeros((n, n)))
+        try:
+            # Predictor (affine scaling, target 0).
+            dx_a, _, ds_a = direction(0.0, np.zeros((n, n)))
 
-        alpha_p = min(1.0, _max_step(ell_x, dx_a))
-        alpha_d = min(1.0, _max_step(ell_s, ds_a))
-        mu_aff = max(
-            0.0,
-            float(np.sum((x + alpha_p * dx_a) * (s + alpha_d * ds_a))) / n,
-        )
-        sigma = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3))
+            alpha_p = min(1.0, _max_step(ell_x, dx_a))
+            alpha_d = min(1.0, _max_step(ell_s, ds_a))
+            mu_aff = max(
+                0.0,
+                float(np.sum((x + alpha_p * dx_a) * (s + alpha_d * ds_a))) / n,
+            )
+            sigma = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3))
 
-        # Corrector with second-order term dX_a dS_a.
-        dx, dy, ds = direction(sigma * mu, dx_a @ ds_a)
+            # Corrector with second-order term dX_a dS_a.
+            dx, dy, ds = direction(sigma * mu, dx_a @ ds_a)
 
-        alpha_p = min(1.0, _STEP_FRACTION * _max_step(ell_x, dx))
-        alpha_d = min(1.0, _STEP_FRACTION * _max_step(ell_s, ds))
+            alpha_p = min(1.0, _STEP_FRACTION * _max_step(ell_x, dx))
+            alpha_d = min(1.0, _STEP_FRACTION * _max_step(ell_s, ds))
+        except np.linalg.LinAlgError:  # eigvalsh on a non-finite direction
+            reason = "diverged"
+            break
 
         # Roundoff near a degenerate face can make the nominal step leave
         # the cone; backtrack until both updates factor.
@@ -336,6 +334,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         x, ell_x, s, ell_s = x_next, ell_x_next, s_next, ell_s_next
         y = y + alpha_d * dy
 
+    if reason == "diverged":
+        status = MAX_ITERATIONS if best_worst <= 1e-5 else NUMERICAL_FAILURE
     if status != OPTIMAL and best_iterate[1] is not y:
         # One exit for every failed solve: the most balanced iterate seen.
         # Only y is rebound at every step, so it names the iterate.

@@ -248,6 +248,12 @@ def failing_problems() -> dict:
         # Infeasible: x11 = 1 and 2 x11 = 3.
         "mu_floor": SdpProblem(n=2, c=np.eye(2), b=[1.0, 3.0],
                                constraints=[np.diag([1.0, 0.0]), np.diag([2.0, 0.0])]),
+        # The off-diagonal problem padded to n = 3 and 4.  At n = 3 a
+        # direction stops being finite, and eigvalsh raises LinAlgError in
+        # the step-length search.
+        **{f"off_diagonal_n{n}": SdpProblem(n=n, c=np.eye(n), b=[1.0, 5.0],
+                                           constraints=[np.eye(n), np.pad(off, (0, n - 2))])
+           for n in (3, 4)},
     }
 
 
@@ -282,10 +288,9 @@ class TestFailurePaths:
         self.check_fallback(sol, 16)
 
     def test_off_diagonal_beyond_trace(self):
-        # This one breaks down on mu < 0, with no overflow along the way.
-        sol = solve(failing_problems()["off_diagonal"])
-        self.check_fallback(sol, 11)
-        assert sol.history[-2]["mu"] < 0
+        with pytest.warns(RuntimeWarning):
+            sol = solve(failing_problems()["off_diagonal"])
+        self.check_fallback(sol, 59)
 
     def test_mu_floor_is_named(self):
         # It stops on mu < 1e-14 with a tiny dual residual, under the same
@@ -295,6 +300,29 @@ class TestFailurePaths:
         assert sol.iterations == 10 and sol.history[-2]["mu"] < 1e-14
         assert len(sol.history) == sol.iterations + 2
         assert sol.history[-1]["mu"] > 1.0
+
+    def test_schur_breakdown_is_named(self, monkeypatch):
+        # The Schur matrix (m = 3, n = 7) fails to factor at iterate 4,
+        # where the worst measure has risen: iterate 3 is returned.
+        problem, _ = engineered_problem(np.random.default_rng(182))
+        m = len(problem.constraints)
+        assert m != problem.n
+        cholesky, schur_calls = np.linalg.cholesky, []
+
+        def failing(a, *args, **kwargs):
+            if a.shape == (m, m):
+                schur_calls.append(a)
+                if len(schur_calls) == 5:
+                    raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        sol = solve(problem)
+        assert sol.status == NUMERICAL_FAILURE and sol.reason == "schur_breakdown"
+        assert sol.iterations == 4 and len(schur_calls) == 5
+        *earlier, final = sol.history
+        assert len(earlier) == 5 and final == min(earlier, key=worst_measure) == earlier[3]
+        assert float(problem.b @ sol.y) == final["dual_obj"] == sol.dual_obj
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name", [*failing_problems(), "iteration_cap"])
