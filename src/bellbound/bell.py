@@ -372,9 +372,14 @@ def seesaw_max_violation(
     Each restart is one row of its party's vectors side by side, and T is
     folded into the coefficient table once, so a sweep is one matrix
     product per half-step.  The objective sum_l b_l . image_l is read as
-    the sum of the norms of Bob's images.  A vector whose image vanishes
-    (norm <= 1e-300) keeps its previous value; that fallback runs only in
-    a half-step where some norm vanishes.
+    the sum of the norms of Bob's images.  Every half-step writes into
+    buffers allocated once per call; the returned strategy is a copy.
+
+    A vector whose image vanishes (norm <= 1e-300) keeps its previous
+    value.  The sweep tests for that on the squared norms, before the
+    square root: a norm is <= 1e-300 exactly when its square is 0.0, since
+    the square root of the smallest subnormal is 2.2e-162.  The per-vector
+    fallback runs only in a half-step where some squared norm is 0.0.
     """
     if restarts < 1:
         raise OutOfRange("restarts must be >= 1")
@@ -395,19 +400,35 @@ def seesaw_max_violation(
     to_bob = (coeffs[:, None, :, None] * t[:, None, :]).reshape(3 * k, 3 * l)
     alice_blocks, bob_blocks, bob_first = _seesaw_tables(k, l)
 
-    def normalize(image, blocks, previous):
-        norms = np.sqrt(np.dot(image * image, blocks))
-        if norms.min() > 1e-300:
-            return image / norms, norms
-        ok = norms > 1e-300
-        return np.where(ok, image / np.where(ok, norms, 1.0), previous), norms
-
+    dot, multiply, sqrt, divide = np.dot, np.multiply, np.sqrt, np.divide
+    # Per half-step: the product table, the block-ones matrix, the vectors
+    # it overwrites, and buffers for their images, squares and norms.
+    half_steps = [
+        (table, blocks, vectors, *(np.empty_like(vectors) for _ in range(3)))
+        for table, blocks, vectors in (
+            (to_alice, alice_blocks, alice),
+            (to_bob, bob_blocks, bob),
+        )
+    ]
     values = np.full(restarts, -np.inf)
     for _ in range(500):
-        alice, _ = normalize(np.dot(bob, to_alice), alice_blocks, alice)
-        bob, norms = normalize(np.dot(alice, to_bob), bob_blocks, bob)
-        values, old = np.dot(norms, bob_first), values
-        if abs(values - old).max() < 1e-12:
+        source = bob
+        for table, blocks, vectors, image, squares, norms in half_steps:
+            dot(source, table, out=image)
+            multiply(image, image, out=squares)
+            dot(squares, blocks, out=norms)
+            # Is the smallest squared norm 0.0?  (np.count_nonzero gives the
+            # same answer but left the process 0.1 MB larger.)
+            vanishing = norms.item(norms.argmin()) == 0.0
+            sqrt(norms, out=norms)
+            if vanishing:
+                divide(image, norms, out=vectors, where=norms > 1e-300)
+            else:
+                divide(image, norms, out=vectors)
+            source = vectors
+        # norms are Bob's: read the value before the next sweep overwrites them.
+        values, old = dot(norms, bob_first), values
+        if max(map(abs, (values - old).tolist())) < 1e-12:
             break
 
     best = int(values.argmax())

@@ -414,12 +414,19 @@ CURVE_CSV_HEADER = "param,bell_value,guessing_probability,min_entropy_bits"
 
 def curve_csv(params, points) -> str:
     """CSV rows param,bell_value,guessing_probability,min_entropy_bits at 12
-    significant digits.  The entropy column is the min_entropy of the point
-    with its probability rounded as printed, so each row satisfies
-    min_entropy = -log2(guessing_probability) as printed."""
+    significant digits.  The guessing probability is rounded up (toward
+    +inf), so a printed probability never sits below the bound it stands
+    for; the other columns are rounded to nearest.  The entropy column is
+    the min_entropy of the point with its probability rounded as printed,
+    so each row satisfies min_entropy = -log2(guessing_probability) as
+    printed."""
     lines = [CURVE_CSV_HEADER]
     for param, pt in zip(params, points):
-        text = f"{pt.guessing_probability:.12g}"
+        p = pt.guessing_probability
+        text = f"{p:.12g}"
+        if float(text) < p:
+            # Rounded down: step up one unit of the 12th significant digit.
+            text = f"{float(text) + 10.0 ** (math.floor(math.log10(p)) - 11):.12g}"
         entropy = RandomnessPoint(pt.bell_value, float(text)).min_entropy
         lines.append(f"{float(param):.12g},{pt.bell_value:.12g},{text},{entropy:.12g}")
     return "\n".join(lines) + "\n"

@@ -167,6 +167,7 @@ def test_criterion_7_randomness_endpoints():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_crossovers_and_thresholds():
     started = time.time()
     thetas = np.linspace(0.0, np.pi / 4, 50)

@@ -407,6 +407,22 @@ class TestSeesaw:
             assert abs(value - einsum_seesaw(state, expr, restarts, seed)) <= 1e-12
             assert abs(expectation(state, expr, strat) - value) <= 1e-12
 
+    def test_returned_strategy_outlives_the_next_call(self):
+        # The sweep overwrites buffers of its own; a returned strategy is a
+        # copy, so a later call on another state leaves it as it was.
+        _, first = seesaw_max_violation(pure_state(0.4712), ebi(), restarts=8, seed=1)
+        alice, bob = first.alice.copy(), first.bob.copy()
+        _, second = seesaw_max_violation(werner_state(0.7), ebi(), restarts=8, seed=2)
+        assert np.array_equal(first.alice, alice) and np.array_equal(first.bob, bob)
+        assert not np.shares_memory(first.alice, second.alice)
+        assert not np.shares_memory(first.bob, second.bob)
+
+    def test_smallest_square_has_a_root_above_the_vanishing_threshold(self):
+        # seesaw_max_violation tests for a vanishing image (norm <= 1e-300)
+        # as a squared norm of exactly 0.0.  The two tests agree because the
+        # root of the smallest positive double is 2.2e-162, far above 1e-300.
+        assert np.sqrt(np.nextafter(0.0, 1.0)) > 1e-300
+
     def test_singlet_reaches_maximum(self):
         value, strat = seesaw_max_violation(singlet(), ebi(), restarts=20, seed=0)
         assert abs(value - 4 * ROOT3) < 1e-8

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -321,6 +322,7 @@ class TestGuessingProbability:
             for lo, hi in zip(values[1:], values[:-1]):
                 assert lo <= hi + tol
 
+    @pytest.mark.slow
     def test_monotone_in_bell_value_ebi(self):
         grid = np.linspace(6.0, 4 * ROOT3, 11)
         values = [max_guessing_probability(ebi(), float(i), (0, 0), 2) for i in grid]
@@ -359,6 +361,7 @@ class TestGuessingProbability:
         assert max(values) - min(values) <= 1e-4
 
 
+@pytest.mark.slow
 class TestGuessProblemReuse:
     @pytest.mark.parametrize("level", ["1+AB", "2"])
     @pytest.mark.parametrize("expr", [ebi(), chsh()], ids=["ebi", "chsh"])
@@ -468,6 +471,25 @@ class TestMinEntropyCurve:
             # The identity holds for the printed digits, with no "-0".
             assert float(bits) == float(f"{-math.log2(float(prob)):.12g}")
             assert not bits.startswith("-")
+
+
+class TestCurveCsv:
+    def test_probability_rounds_up_at_12_digits(self):
+        rng = np.random.default_rng(20)
+        probabilities = [float(p) for p in rng.uniform(0.25, 1.0, size=200)]
+        # The edges, and p one ulp above a 12-digit boundary.
+        probabilities += [1.0, 0.25, math.nextafter(0.5, 1.0),
+                          math.nextafter(0.853553390593, 1.0)]
+        points = [RandomnessPoint(2.5, p) for p in probabilities]
+        rows = curve_csv(range(len(points)), points).strip().split("\n")[1:]
+        for p, row in zip(probabilities, rows):
+            _, _, prob, bits = row.split(",")
+            exact = Decimal(prob)
+            assert float(prob) >= p
+            assert len(exact.normalize().as_tuple().digits) <= 12
+            # Within one unit of the 12th significant digit of p.
+            assert exact - Decimal(p) < Decimal(1).scaleb(Decimal(p).adjusted() - 11)
+            assert float(bits) == float(f"{-math.log2(float(prob)):.12g}")
 
 
 class TestEntropyCrossover:
