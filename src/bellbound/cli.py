@@ -167,7 +167,8 @@ def cmd_tsirelson(args: argparse.Namespace) -> int:
 def cmd_gram_demo(args: argparse.Namespace) -> int:
     solution = sdp.solve(sdp.gram_problem())
     if solution.status != sdp.OPTIMAL:
-        print(f"solver status: {solution.status}", file=sys.stderr)
+        print(f"solver status: {solution.status} ({solution.reason}) "
+              f"after {solution.iterations} iterations", file=sys.stderr)
         return EXIT_NUMERICAL
     min_eig, feasible = sdp.dual_certificate_check(solution.y)
     ok = (
@@ -254,7 +255,7 @@ def cmd_randomness(args: argparse.Namespace) -> int:
 
     best = max(range(len(points)), key=lambda i: points[i].min_entropy)
     summary = {
-        "max_entropy_bits": _jnum(points[best].min_entropy),
+        "max_entropy_bits": float(npa.round_12(points[best].min_entropy, up=False)),
         "argmax_param": _jnum(params[best]),
         "crossover": None,
     }

@@ -412,21 +412,24 @@ def entropy_crossover(params, curve_a, curve_b) -> float | None:
 CURVE_CSV_HEADER = "param,bell_value,guessing_probability,min_entropy_bits"
 
 
+def round_12(value: float, up: bool) -> str:
+    """``value`` at 12 significant digits, as text reading back >= value if ``up``, else <=."""
+    text = f"{value:.12g}"
+    if float(text) < value if up else float(text) > value:
+        # Rounded the wrong way: step one unit of the 12th significant digit.
+        unit = 10.0 ** (math.floor(math.log10(value)) - 11)
+        text = f"{float(text) + (unit if up else -unit):.12g}"
+    return text
+
+
 def curve_csv(params, points) -> str:
     """CSV rows param,bell_value,guessing_probability,min_entropy_bits at 12
-    significant digits.  The guessing probability is rounded up (toward
-    +inf), so a printed probability never sits below the bound it stands
-    for; the other columns are rounded to nearest.  The entropy column is
-    the min_entropy of the point with its probability rounded as printed,
-    so each row satisfies min_entropy = -log2(guessing_probability) as
-    printed."""
+    significant digits.  The probability is rounded up and the entropy,
+    that of the printed probability, down, so no printed figure claims
+    more randomness than the certificate gives; the rest round to nearest."""
     lines = [CURVE_CSV_HEADER]
     for param, pt in zip(params, points):
-        p = pt.guessing_probability
-        text = f"{p:.12g}"
-        if float(text) < p:
-            # Rounded down: step up one unit of the 12th significant digit.
-            text = f"{float(text) + 10.0 ** (math.floor(math.log10(p)) - 11):.12g}"
-        entropy = RandomnessPoint(pt.bell_value, float(text)).min_entropy
-        lines.append(f"{float(param):.12g},{pt.bell_value:.12g},{text},{entropy:.12g}")
+        prob = round_12(pt.guessing_probability, up=True)
+        entropy = round_12(RandomnessPoint(pt.bell_value, float(prob)).min_entropy, up=False)
+        lines.append(f"{float(param):.12g},{pt.bell_value:.12g},{prob},{entropy}")
     return "\n".join(lines) + "\n"

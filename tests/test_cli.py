@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bellbound
-from bellbound import cli, npa, singlet
+from bellbound import cli, npa, sdp, singlet
 from bellbound.errors import SolverError
 
 
@@ -156,6 +156,12 @@ class TestGramDemo:
         payload = json.loads(out)
         assert code == 0 and payload["ok"]
         assert payload["certificate_min_eigenvalue"] >= -1e-9
+
+    def test_failure_names_status_and_reason(self, capsys, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_ITER", 3)
+        code, out, err = run(capsys, "gram-demo")
+        assert code == cli.EXIT_NUMERICAL and out == ""
+        assert err == "solver status: max_iterations (iteration_cap) after 3 iterations\n"
 
 
 class TestRandomness:
@@ -320,6 +326,10 @@ class TestRandomness:
         words = plain.split("\n")[0].split()  # max entropy E bits at param P
         entropy, param = words[2], words[-1]
         assert abs(payload["max_entropy_bits"] - float(entropy)) <= 5e-7
+        # Rounded down at 12 significant digits, like the CSV's entropy.
+        points = npa.min_entropy_curve("werner-p", np.linspace(0.95, 1, 3), bellbound.ebi(), "1")
+        exact = max(pt.min_entropy for pt in points)
+        assert exact - 1e-11 < payload["max_entropy_bits"] <= exact
         assert abs(payload["argmax_param"] - float(param)) <= 5e-7
         crossover = plain.split("\n")[1].rsplit(" ", 1)[1]
         assert abs(payload["crossover"] - float(crossover)) <= 5e-7

@@ -1,4 +1,5 @@
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -191,9 +192,10 @@ class TestCertifiedUpperBound:
         assert below >= 50 and outside >= 50
 
     def test_non_finite_iterate_raises(self):
-        x = np.full((4, 4), np.nan)
-        with pytest.raises(SolverError, match="max_iterations"):
-            certified_upper_bound(gram_problem(), self.handed(x, np.zeros(4)))
+        sol = self.handed(np.full((4, 4), np.nan), np.zeros(4))
+        sol.reason = "stalled"
+        with pytest.raises(SolverError, match=r"max_iterations \(stalled\) after 0 iter"):
+            certified_upper_bound(gram_problem(), sol)
 
 
 class TestSolverInvariants:
@@ -246,8 +248,8 @@ def failing_problems() -> dict:
         "off_diagonal": SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2), off],
                                    b=[1.0, 5.0]),
         # Infeasible: x11 = 1 and 2 x11 = 3.
-        "mu_floor": SdpProblem(n=2, c=np.eye(2), b=[1.0, 3.0],
-                               constraints=[np.diag([1.0, 0.0]), np.diag([2.0, 0.0])]),
+        "stalled": SdpProblem(n=2, c=np.eye(2), b=[1.0, 3.0],
+                              constraints=[np.diag([1.0, 0.0]), np.diag([2.0, 0.0])]),
         # The off-diagonal problem padded to n = 3 and 4.  At n = 3 a
         # direction stops being finite, and eigvalsh raises LinAlgError in
         # the step-length search.
@@ -292,14 +294,39 @@ class TestFailurePaths:
             sol = solve(failing_problems()["off_diagonal"])
         self.check_fallback(sol, 59)
 
-    def test_mu_floor_is_named(self):
-        # It stops on mu < 1e-14 with a tiny dual residual, under the same
-        # status as the cap, and returns an early, more balanced iterate.
-        sol = solve(failing_problems()["mu_floor"])
-        assert sol.status == MAX_ITERATIONS and sol.reason == "mu_floor"
-        assert sol.iterations == 10 and sol.history[-2]["mu"] < 1e-14
+    def test_stall_is_named(self):
+        # Its most balanced iterate is iterate 1, so it stops 80 iterates
+        # later, under the same status as the cap, without overflowing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve(failing_problems()["stalled"])
+        assert sol.status == MAX_ITERATIONS and sol.reason == "stalled"
+        assert sol.iterations == 81 == 1 + sdp._STALL
         assert len(sol.history) == sol.iterations + 2
-        assert sol.history[-1]["mu"] > 1.0
+        assert sol.history[-1] == sol.history[1]
+
+    def test_stall_ends_a_real_grind(self, monkeypatch):
+        # Criterion 8's second pure-state grid point for CHSH at level 2:
+        # one outcome solve stops stalled at iterate 92, and the certified
+        # value is that of running it to the 200-iterate cap, bit for bit.
+        npa.tsirelson_bound(bell.chsh(), "2")  # cached, so only guessing solves follow
+        solutions = []
+
+        def logged(problem):
+            solutions.append(solve(problem))
+            return solutions[-1]
+
+        monkeypatch.setattr(npa, "solve", logged)
+        value = npa.max_guessing_probability(bell.chsh(), 2.0010270399220813, (0, 0), "2")
+        assert value == 0.9997428447130182
+        assert len(solutions) == 4
+        assert [(s.reason, s.iterations) for s in solutions if s.reason != OPTIMAL] == [
+            ("stalled", 92)
+        ]
+        monkeypatch.setattr(sdp, "_STALL", sdp._MAX_ITER + 1)
+        solutions.clear()
+        assert npa.max_guessing_probability(bell.chsh(), 2.0010270399220813, (0, 0), "2") == value
+        assert [s.reason for s in solutions if s.reason != OPTIMAL] == ["iteration_cap"]
 
     def test_schur_breakdown_is_named(self, monkeypatch):
         # The Schur matrix (m = 3, n = 7) fails to factor at iterate 4,
@@ -346,7 +373,25 @@ class TestFailurePaths:
         c_sym = 0.5 * (problem.c + problem.c.T)
         assert float(np.sum(c_sym * sol.x)) == final["primal_obj"] == sol.primal_obj
         assert float(problem.b @ sol.y) == final["dual_obj"] == sol.dual_obj
-        assert sol.status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and sol.reason != "stall"
+        assert sol.status in (MAX_ITERATIONS, NUMERICAL_FAILURE)
+        assert sol.reason in {"iteration_cap", "stalled", "schur_breakdown", "diverged"}
+
+    def test_step_backtracks_to_1e_12(self, monkeypatch):
+        # With a Cholesky that always fails, alpha halves from its start
+        # until it falls below 1e-12, and the iterate is kept.
+        tried = []
+
+        def failing(a):
+            tried.append(a[0, 0])
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        m, ell = np.zeros((2, 2)), np.eye(2)
+        for start, count in ((1.0, 40), (1e-11, 4)):
+            tried.clear()
+            alpha, m_next, ell_next = sdp._step(m, ell, np.eye(2), start)
+            assert tried == [start * 0.5**k for k in range(count)]
+            assert alpha == 0 and m_next is m and ell_next is ell
 
 
 class TestFactorizations:
