@@ -9,14 +9,16 @@ summary printed as lines or, with --json, one object), and
 gram-demo (the 4x4 Gram-matrix SDP with its dual certificate).
 
 Numbers print with 6 decimals in human mode and 12 significant digits in
-CSV/JSON.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.  Grid sweeps compute one point at a time, in grid order, and stop
-at the first point that fails.  ``--config FILE`` supplies defaults from a
-JSON object keyed by option name (``state_file``, ``grid``, ``json``, ...);
-flags win, and a key that no subcommand declares exits 2.  Importing the
-package pins numpy's OpenBLAS to one thread, and the first SDP solve pins
-scipy's, unless OPENBLAS_NUM_THREADS is set (see bellbound.linalg).  scipy
-is loaded only by the commands that build an SDP (tsirelson, randomness,
+CSV/JSON; the Tsirelson bound rounds up and the min-entropy down, so no
+printed figure claims more than its certificate gives.  Exit codes: 0
+success, 2 configuration error, 3 numerical failure.  Grid sweeps compute
+one point at a time, in grid order, and stop at the first point that
+fails.  ``--config FILE`` supplies defaults from a JSON object keyed by
+option name (``state_file``, ``grid``, ``json``, ...); flags win, and a
+key that no subcommand declares exits 2.  Importing the package pins
+numpy's OpenBLAS to one thread, and the first SDP solve pins scipy's,
+unless OPENBLAS_NUM_THREADS is set (see bellbound.linalg).  scipy is
+loaded only by the commands that build an SDP (tsirelson, randomness,
 gram-demo); importing this module and bound, measure and classical do not
 load it.
 """
@@ -50,6 +52,14 @@ _FAMILIES = {"pure": "pure-theta", "werner": "werner-p"}
 def _jnum(value: float) -> float:
     """``value`` rounded to the 12 significant digits JSON output carries."""
     return float(f"{float(value):.12g}")
+
+
+def _fixed6(value: float, up: bool) -> str:
+    """``value`` at 6 decimals, as text reading back >= value if ``up``, else <=."""
+    text = f"{value:.6f}"
+    if float(text) < value if up else float(text) > value:
+        text = f"{float(text) + (1e-6 if up else -1e-6):.6f}"
+    return text
 
 
 _CLAMP_SLACK = 1e-3  # absorbs decimal roundings like 0.7854 for pi/4
@@ -159,8 +169,9 @@ def cmd_classical(args: argparse.Namespace) -> int:
 
 def cmd_tsirelson(args: argparse.Namespace) -> int:
     value = npa.tsirelson_bound(_resolve_expr(args.expr, args.n), args.level)
-    print(json.dumps({"tsirelson_bound": _jnum(value), "level": args.level})
-          if args.json else f"tsirelson bound  {value:.6f} (level {args.level})")
+    bound = {"tsirelson_bound": float(npa.round_12(value, up=True)), "level": args.level}
+    print(json.dumps(bound) if args.json
+          else f"tsirelson bound  {_fixed6(value, up=True)} (level {args.level})")
     return EXIT_OK
 
 
@@ -260,7 +271,8 @@ def cmd_randomness(args: argparse.Namespace) -> int:
         "crossover": None,
     }
     if not args.json:
-        print(f"max entropy      {points[best].min_entropy:.6f} bits at param {params[best]:.6f}")
+        entropy = _fixed6(points[best].min_entropy, up=False)
+        print(f"max entropy      {entropy} bits at param {params[best]:.6f}")
     if args.compare:
         other, failure = _curve(args, family, _resolve_expr(args.compare, args.n), params)
         if failure is not None:

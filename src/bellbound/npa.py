@@ -11,14 +11,15 @@ probability p(ab|xy) at a fixed Bell value lower-bounds the certifiable
 randomness -log2 p*.
 
 Both problems use one reduced formulation: the moments of the entry
-classes are the variables, M(z) = z[entry_class], and every constraint
-matrix combines at most two class indicators ``entry_class == c`` (see
-:func:`_reduced_sdp`).  Every basis starts with
-1, P_0..P_{k-1}, Q_0..Q_{l-1}, so the classes of the first-order moments
-<P_x>, <Q_y> and <P_x Q_y> are read straight off ``entry_class``.  The
-objective, input pair, outcome, Bell value and multiplier set only the
-targets, F0 and the constant, so each expression and level builds two
-operators: one Bell-free, one with the Bell value pinned by equality.
+classes are the variables, M(z) = z[entry_class], and the constraint
+operator is one sparse expression over the indicators of the classes,
+each row combining at most two (see :func:`_reduced_sdp`).  Every basis
+starts with 1, P_0..P_{k-1}, Q_0..Q_{l-1}, so the classes of the
+first-order moments <P_x>, <Q_y> and <P_x Q_y> are read straight off
+``entry_class``.  The objective, input pair, outcome, Bell value and
+multiplier set only the targets, F0 and the constant, so each expression
+and level builds two operators: one Bell-free, one with the Bell value
+pinned by equality.
 
 Every value is read from the upper-bounding side through one certificate,
 :func:`~bellbound.sdp.certified_upper_bound`, whatever the solver status.
@@ -237,9 +238,10 @@ def _reduced_sdp(ms: MomentStructure, bell=None) -> _ReducedSdp:
     in the Bell-free form (the Lagrangian form), whose value minus lam I
     bounds max h.
 
-    A_i = r_i [entry_class == beta] - [entry_class == c_i] for the free class
-    c_i, with r_i = g[c_i] / g[beta] pinned and 0 Bell-free, so with every
-    class free M(z) = F0 + sum_i z_i F_i is z[entry_class].
+    Row i of the operator is vec(A_i), A_i = r_i [entry_class == beta] -
+    [entry_class == c_i] for the free class c_i, with r_i = g[c_i] / g[beta]
+    pinned and 0 Bell-free, so with every class free M(z) = F0 +
+    sum_i z_i F_i is z[entry_class]; row c of ``ind`` is vec([entry_class == c]).
     """
     import scipy.sparse as sp
 
@@ -258,9 +260,10 @@ def _reduced_sdp(ms: MomentStructure, bell=None) -> _ReducedSdp:
         free = free[free != beta]
         ratio = g / g[beta]
         pinned = dict(bell=bell, beta=beta, f0_step=(ec == beta) * 1.0)
-    constraints = [sp.csr_matrix(ratio[c] * (ec == beta) - (ec == c)) for c in free]
-    problem = SdpProblem(n=ms.size, c=(ec == identity) * 1.0, constraints=constraints,
-                         b=np.zeros(free.size))
+    ind = sp.csr_matrix((np.ones(ec.size), (ec.ravel(), np.arange(ec.size))),
+                        shape=(ms.class_count, ec.size))
+    a = sp.csr_matrix(ratio[free, None]) @ ind[[beta]] - ind[free]
+    problem = SdpProblem(n=ms.size, c=(ec == identity) * 1.0, a=a, b=np.zeros(free.size))
     return _ReducedSdp(problem=problem, identity=identity, free=free, **pinned)
 
 
@@ -282,7 +285,7 @@ def _moment_sdp(expr: BellExpression, level: str, pinned: bool) -> _ReducedSdp:
 
 def _certified_value(problem: SdpProblem, const: float) -> float:
     """``const`` plus the certified upper bound of one solve of ``problem``."""
-    return const + certified_upper_bound(problem, solve(problem))
+    return float(const + certified_upper_bound(problem, solve(problem)))
 
 
 _tsirelson_cache: dict = {}

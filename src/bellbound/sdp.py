@@ -14,11 +14,12 @@ which is symmetric positive definite and factored densely by Cholesky.
 It is assembled as in SDPA for sparse constraints (Fujisawa, Kojima &
 Nakata, Math. Prog. 79 (1997)): row j of an m x n^2 matrix K holds
 vec(X A_j S^-1), a sum of one rank-one term per nonzero of A_j, and
-B = A K^T with A the flattened CSR constraint operator.  The constraints
-are batched by nonzero count when the problem is made, so K is filled by
-one stacked matrix product per group rather than one product per
-constraint.  No other sparsity is exploited; the moment matrices this
-package produces stay well under 50 x 50.  X and S are factored in one
+B = A K^T.  A problem takes the constraints as that one m x n^2 operator
+A, row i being vec(A_i), and keeps it in CSR.  Its rows are batched by
+nonzero count when the problem is made, so K is filled by one stacked
+matrix product per group rather than one product per constraint.  No
+other sparsity is exploited; the moment matrices this package produces
+stay well under 50 x 50.  X and S are factored in one
 place, the step search that backtracks until the next iterate factors;
 that factor serves the next iterate's S^-1 and step-length searches.
 
@@ -64,43 +65,62 @@ def _checked_objective(c, b, n: int, m: int):
 
 @dataclass(eq=False)
 class SdpProblem:
-    """Standard-form problem data: ``constraints`` holds the matrices
-    A_1..A_m, dense arrays or scipy sparse matrices, all symmetric, and
+    """Standard-form problem data: ``a`` is the m x n^2 constraint operator
+    whose row i is vec(A_i), dense or scipy sparse, each A_i symmetric, and
     ``b`` the m targets.
 
-    The constraints are validated and flattened into one m x n^2 operator
-    when the problem is made; :meth:`with_objective` shares that operator
-    with a copy that differs only in C and b."""
+    The operator is copied into canonical CSR (duplicates summed, columns
+    sorted), validated and its rows grouped by nonzero count when the
+    problem is made; :meth:`with_objective` shares it with a copy that
+    differs only in C and b."""
 
     n: int
     c: np.ndarray
-    constraints: tuple  # (A_1, ..., A_m)
+    a: object  # canonical scipy.sparse CSR after __post_init__
     b: np.ndarray
-    _amat: sp.csr_matrix = field(init=False, repr=False)
     _groups: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.constraints = tuple(self.constraints)
-        if not self.constraints:
-            raise ValueError("at least one equality constraint is required")
-        if len(self.constraints) > self.n * (self.n + 1) // 2:
-            raise ValueError("more constraints than independent matrix entries")
-        self.c, self.b = _checked_objective(self.c, self.b, self.n, len(self.constraints))
-        self._amat, self._groups = _flatten_constraints(self.constraints, self.n)
-        if not np.all(np.isfinite(self._amat.data)):
+        import scipy.sparse as sp
+
+        n = self.n
+        self.a = sp.csr_matrix(self.a, dtype=float, copy=True)
+        self.a.sum_duplicates()
+        m, width = self.a.shape
+        if width != n * n:
+            raise ValueError(f"constraint operator has width {width}, expected {n * n}")
+        if not 0 < m <= n * (n + 1) // 2:
+            raise ValueError(f"need 1 to n(n+1)/2 = {n * (n + 1) // 2} constraints, got {m}")
+        self.c, self.b = _checked_objective(self.c, self.b, n, m)
+        if not np.all(np.isfinite(self.a.data)):
             raise ValueError("constraint matrix must be finite")
         # Row i holds vec(A_i); its transpose permutes columns r*n+c -> c*n+r.
-        cols = np.arange(self.n * self.n)
-        transposed = (cols % self.n) * self.n + cols // self.n
-        asym = (self._amat - self._amat[:, transposed]).data
+        cols = np.arange(n * n)
+        asym = (self.a - self.a[:, (cols % n) * n + cols // n]).data
         if asym.size and np.max(np.abs(asym)) > 1e-12:
             raise ValueError("constraint matrix is not symmetric")
+        # (js, R, C, V) per nonzero count: the rows js and their nonzeros' (r, c, v).
+        sizes = np.diff(self.a.indptr)
+        groups = []
+        for k in np.unique(sizes):
+            js = np.flatnonzero(sizes == k)
+            at = self.a.indptr[js][:, None] + np.arange(k)
+            flat = self.a.indices[at]
+            groups.append((js, flat // n, flat % n, self.a.data[at]))
+        self._groups = tuple(groups)
+
+    @property
+    def constraints(self) -> tuple:
+        """A_1..A_m as n x n CSR matrices, rebuilt from ``a`` at each read."""
+        import scipy.sparse as sp
+
+        return tuple(map(sp.csr_matrix, self.a.toarray().reshape(-1, self.n, self.n)))
 
     def with_objective(self, c, b) -> "SdpProblem":
         """Copy with objective ``c`` and targets ``b`` that shares the
-        validated constraints and their operator."""
+        validated operator and its groups."""
         other = copy.copy(self)
-        other.c, other.b = _checked_objective(c, b, self.n, len(self.constraints))
+        other.c, other.b = _checked_objective(c, b, self.n, self.a.shape[0])
         return other
 
 
@@ -118,38 +138,6 @@ class SdpSolution:
     dual_residual: float
     history: list = field(default_factory=list, repr=False)
     reason: str = ""  # optimal, iteration_cap, stalled, schur_breakdown or diverged
-
-
-def _flatten_constraints(constraints, n):
-    """CSR matrix of vectorized constraints and the constraints grouped by
-    nonzero count.
-
-    Each group is (js, R, C, V): the constraint indices js and, stacked one
-    row per constraint, the row indices, column indices and values of its
-    nonzeros, read off the operator's CSR rows in row-major order.  Dense
-    and sparse constraints are read alike, through ``sp.coo_matrix``."""
-    import scipy.sparse as sp
-
-    rows_idx, flat_idx, data = [], [], []
-    for i, a in enumerate(constraints):
-        if a.shape != (n, n):
-            raise ValueError(f"constraint matrix has shape {a.shape}, expected {(n, n)}")
-        coo = sp.coo_matrix(a)
-        rows_idx.append(np.full(coo.nnz, i))
-        flat_idx.append(coo.row * n + coo.col)
-        data.append(coo.data)
-    amat = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(flat_idx))),
-        shape=(len(constraints), n * n),
-    )
-    sizes = np.diff(amat.indptr)
-    groups = []
-    for k in np.unique(sizes):
-        js = np.flatnonzero(sizes == k)
-        at = amat.indptr[js][:, None] + np.arange(k)
-        flat = amat.indices[at]
-        groups.append((js, flat // n, flat % n, amat.data[at]))
-    return amat, tuple(groups)
 
 
 def _max_step(ell: np.ndarray, dm: np.ndarray) -> float:
@@ -173,13 +161,13 @@ def _schur_complement(problem: SdpProblem, x: np.ndarray, s_inv: np.ndarray) -> 
     CSR list them, so the sums are those of a loop over the constraints one
     at a time; the tests compare the two bit for bit."""
     n = problem.n
-    kmat = np.empty((len(problem.constraints), n * n))
+    kmat = np.empty((problem.a.shape[0], n * n))
     xt = x.T
     for js, rr, cc, vv in problem._groups:
         kmat[js] = np.matmul(
             (xt[rr] * vv[..., None]).transpose(0, 2, 1), s_inv[cc]
         ).reshape(-1, n * n)
-    schur = problem._amat @ kmat.T
+    schur = problem.a @ kmat.T
     return 0.5 * (schur + schur.T)
 
 
@@ -216,9 +204,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     """
     n = problem.n
     c_int = 0.5 * (problem.c + problem.c.T)
-    amat, b = problem._amat, problem.b
+    amat, b = problem.a, problem.b
     amat_t = amat.T
-    m = len(problem.constraints)
+    m = amat.shape[0]
 
     tau = max(1.0, float(np.linalg.norm(c_int)), float(np.max(np.abs(b))))
     x = s = tau * np.eye(n)
@@ -366,7 +354,7 @@ def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
     if np.all(np.isfinite(solution.x)):
         w, v = np.linalg.eigh(0.5 * (solution.x + solution.x.T))
         x_plus = (v * np.clip(w, 0.0, None)) @ v.T
-        residual = problem.b - problem._amat @ x_plus.ravel()
+        residual = problem.b - problem.a @ x_plus.ravel()
         bound = float(np.sum(problem.c * x_plus) + np.sum(np.abs(residual)))
     if not np.isfinite(bound):
         raise SolverError(
@@ -384,12 +372,8 @@ def gram_problem() -> SdpProblem:
     by m_ii = 1 and M PSD.  The optimum is -2.
     """
     w = np.ones((4, 4)) - np.eye(4)
-    constraints = []
-    for i in range(4):
-        a = np.zeros((4, 4))
-        a[i, i] = 1.0
-        constraints.append(a)
-    return SdpProblem(n=4, c=0.5 * w, constraints=constraints, b=np.ones(4))
+    # Row i is vec(e_i e_i^T): a one at flat index 5 i.
+    return SdpProblem(n=4, c=0.5 * w, a=np.eye(16)[::5], b=np.ones(4))
 
 
 def dual_certificate_check(v: np.ndarray) -> tuple[float, bool]:

@@ -102,6 +102,20 @@ class TestClassicalAndTsirelson:
         assert code == 0
         assert "6.92820" in out
 
+    @pytest.mark.parametrize("expr", [["ebi"], ["chsh"], ["chained", "--n", "3"]],
+                             ids=["ebi", "chsh", "chained3"])
+    def test_printed_bound_never_reads_below_the_certificate(self, capsys, expr):
+        value = npa.tsirelson_bound(cli._resolve_expr(expr[0], 3), "1")
+        args = ["tsirelson", "--expr", *expr, "--level", "1"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        printed = float(out.split()[2])  # tsirelson bound V (level 1)
+        assert value <= printed <= value + 1e-6
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 0
+        printed = json.loads(out)["tsirelson_bound"]
+        assert value <= printed <= value * (1 + 1e-11)
+
 
 # Runs the non-SDP commands and library calls, then one SDP command, and
 # reports which scipy modules were loaded before and after the latter.
@@ -325,7 +339,8 @@ class TestRandomness:
         assert set(payload) == {"max_entropy_bits", "argmax_param", "crossover"}
         words = plain.split("\n")[0].split()  # max entropy E bits at param P
         entropy, param = words[2], words[-1]
-        assert abs(payload["max_entropy_bits"] - float(entropy)) <= 5e-7
+        # Both round down: the line at 6 decimals, the JSON at 12 digits.
+        assert float(entropy) <= payload["max_entropy_bits"] < float(entropy) + 1e-6
         # Rounded down at 12 significant digits, like the CSV's entropy.
         points = npa.min_entropy_curve("werner-p", np.linspace(0.95, 1, 3), bellbound.ebi(), "1")
         exact = max(pt.min_entropy for pt in points)
@@ -333,6 +348,18 @@ class TestRandomness:
         assert abs(payload["argmax_param"] - float(param)) <= 5e-7
         crossover = plain.split("\n")[1].rsplit(" ", 1)[1]
         assert abs(payload["crossover"] - float(crossover)) <= 5e-7
+
+    def test_max_entropy_line_rounds_down(self, capsys, tmp_path):
+        # The entropy is 0.2542168...: nearest rounding would print 0.254217,
+        # more than the CSV and --json figure 0.254216811371.
+        code, out, _ = run(
+            capsys,
+            "randomness", "--family", "werner", "--expr", "ebi", "--level", "1",
+            "--grid", "0.95:1:3", "--out", str(tmp_path / "e.csv"),
+        )
+        assert code == 0
+        assert out.startswith("max entropy      0.254216 bits at param ")
+        assert (tmp_path / "e.csv").read_text().splitlines()[-1].endswith(",0.254216811371")
 
     def test_json_summary_without_crossover(self, capsys, tmp_path):
         code, out, _ = run(

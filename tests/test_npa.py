@@ -148,16 +148,17 @@ class TestMomentStructure:
     @pytest.mark.parametrize("level", npa.LEVELS)
     @pytest.mark.parametrize("name", list(EXPRESSIONS))
     def test_every_problem_counts_m_once(self, name, level):
-        # The benchmark's tracer reads m as len(problem.constraints).  The
-        # Bell-free form makes the Tsirelson and Lagrangian problems, the
-        # pinned form the equality ones.
+        # The benchmark's tracer reads m as len(problem.constraints), the
+        # read-only view of the operator's rows.  The Bell-free form makes
+        # the Tsirelson and Lagrangian problems, the pinned form the
+        # equality ones.
         expr = EXPRESSIONS[name]
         ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
         prob = npa._prob_functional(ms, expr, 0, 0, 0, 0)
         free, pinned = (npa._moment_sdp(expr, level, form) for form in (False, True))
         for problem in (free.problem, free.at(npa._bell_functional(ms, expr))[0],
                         pinned.problem, pinned.at(prob, classical_bound(expr))[0]):
-            assert len(problem.constraints) == problem._amat.shape[0] == problem.b.size
+            assert problem.a.shape[0] == problem.b.size == len(problem.constraints)
 
     @pytest.mark.parametrize("level", ["1", "1+AB", "2"])
     @pytest.mark.parametrize("expr", [ebi(), chsh(), chained(3)],
@@ -187,11 +188,11 @@ class TestMomentStructure:
         bell = npa._bell_functional(ms, expr) if pinned else None
         sdp = npa._reduced_sdp(ms, bell)
         constraints, c, f0_step = indicator_reduced_sdp(ms, bell)
-        # Equal constraint matrices flatten to equal operators and groups.
-        assert len(sdp.problem.constraints) == len(constraints)
-        for ours, theirs in zip(sdp.problem.constraints, constraints):
-            assert all(same_bits(getattr(ours, f), getattr(theirs, f))
-                       for f in ("indptr", "indices", "data"))
+        # The reference matrices, one row each, stack to the same operator.
+        n = ms.size
+        stacked = sp.vstack([a.reshape(1, n * n) for a in constraints], format="csr")
+        assert all(same_bits(getattr(sdp.problem.a, f), getattr(stacked, f))
+                   for f in ("indptr", "indices", "data"))
         assert same_bits(sdp.problem.c, c)
         assert (sdp.f0_step is None) == (f0_step is None)
         assert f0_step is None or same_bits(sdp.f0_step, f0_step)
@@ -262,6 +263,11 @@ class TestTsirelsonBound:
         value = tsirelson_bound(expr, level)
         assert abs(value - qmax) <= 1e-7
         assert value >= qmax
+
+    def test_returns_a_python_float(self):
+        for expr in (ebi(), chsh()):
+            assert type(tsirelson_bound(expr, 1)) is float
+            assert type(max_guessing_probability(expr, classical_bound(expr), (0, 0), 1)) is float
 
     def test_levels_are_non_increasing(self):
         for expr in (ebi(), chsh(), chained(3)):
@@ -378,7 +384,7 @@ class TestGuessProblemReuse:
                     prob = npa._prob_functional(ms, expr, 0, 0, a, b)
                     problem, const = reused.at(prob, value)
                     fresh, fresh_const = npa._reduced_sdp(ms, bell).at(prob, value)
-                    assert problem._amat is reused.problem._amat
+                    assert problem.a is reused.problem.a
                     assert np.array_equal(problem.c, fresh.c)
                     assert np.array_equal(problem.b, fresh.b)
                     assert const == fresh_const
@@ -396,7 +402,7 @@ class TestGuessProblemReuse:
         operators = []
 
         def recording(problem):
-            operators.append(problem._amat)
+            operators.append(problem.a)
             return solve(problem)
 
         monkeypatch.setattr(npa, "_tsirelson_cache", {})

@@ -27,6 +27,11 @@ from bellbound.sdp import (
 )
 
 
+def operator(mats) -> np.ndarray:
+    """The m x n^2 constraint operator whose row i is vec(mats[i])."""
+    return np.array([np.ravel(a) for a in mats])
+
+
 def engineered_problem(rng: np.random.Generator):
     """Random SDP with a known optimum, built from a strictly complementary
     primal-dual pair (X*, y*, S*) with X* S* = 0.  A trace constraint keeps
@@ -46,7 +51,7 @@ def engineered_problem(rng: np.random.Generator):
         mats.append((a + a.T) / 2)
     c = sum(y * a for y, a in zip(y_star, mats)) + s_star
     b = [float(np.sum(a * x_star)) for a in mats]
-    problem = SdpProblem(n=n, c=c, constraints=mats, b=b)
+    problem = SdpProblem(n=n, c=c, a=operator(mats), b=b)
     return problem, float(np.sum(c * x_star))
 
 
@@ -54,41 +59,80 @@ class TestValidation:
     def test_rejects_asymmetric_objective(self):
         c = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            SdpProblem(n=2, c=c, constraints=[np.eye(2)], b=[1.0])
+            SdpProblem(n=2, c=c, a=operator([np.eye(2)]), b=[1.0])
 
     def test_rejects_asymmetric_constraint(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            SdpProblem(n=2, c=np.eye(2), constraints=[a], b=[1.0])
+            SdpProblem(n=2, c=np.eye(2), a=operator([a]), b=[1.0])
 
     def test_rejects_too_many_constraints(self):
         with pytest.raises(ValueError):
-            SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2)] * 4, b=np.ones(4))
+            SdpProblem(n=2, c=np.eye(2), a=operator([np.eye(2)] * 4), b=np.ones(4))
+
+    def test_rejects_operator_of_wrong_width(self):
+        for a in (np.eye(3).reshape(1, 9), np.ones((1, 3)), sp.csr_matrix(np.ones((1, 5)))):
+            with pytest.raises(ValueError, match="width"):
+                SdpProblem(n=2, c=np.eye(2), a=a, b=[1.0])
+
+    def test_rejects_empty_operator(self):
+        for a in (np.zeros((0, 4)), sp.csr_matrix((0, 4))):
+            with pytest.raises(ValueError, match="constraints, got 0"):
+                SdpProblem(n=2, c=np.eye(2), a=a, b=np.zeros(0))
+
+    def test_canonicalises_unsorted_csr_input(self):
+        # Row 0 is vec(I) with its columns listed backwards; row 1 holds the
+        # off-diagonal pair with one entry split into two duplicates.
+        data, indices = np.array([1.0, 1.0, 1.0, 0.5, 0.5]), np.array([3, 0, 2, 1, 1])
+        indptr = np.array([0, 2, 5])
+        a = sp.csr_matrix((data, indices, indptr), shape=(2, 4))
+        saved = [arr.copy() for arr in (data, indices, indptr)]
+        problem = SdpProblem(n=2, c=np.eye(2), a=a, b=[1.0, 1.0])
+        assert problem.a.indices.tolist() == [0, 3, 1, 2]
+        assert problem.a.data.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert problem.a.has_canonical_format
+        for ours, theirs in zip((a.data, a.indices, a.indptr), saved):
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(problem.a.toarray(), [[1, 0, 0, 1], [0, 1, 1, 0]])
+
+    def test_constraints_view_round_trips_the_operator(self):
+        rng = np.random.default_rng(3)
+        problem, _ = engineered_problem(rng)
+        n, m = problem.n, problem.a.shape[0]
+        constraints = problem.constraints
+        assert len(constraints) == m and type(constraints) is tuple
+        y = rng.normal(size=m)
+        total = sum(yi * a.toarray() for yi, a in zip(y, constraints))
+        assert np.allclose(total, (problem.a.T @ y).reshape(n, n), rtol=0, atol=1e-13)
+        for i, a in enumerate(constraints):
+            assert a.shape == (n, n)
+            assert np.array_equal(a.toarray().ravel(), problem.a[i].toarray().ravel())
+        with pytest.raises(AttributeError):
+            problem.constraints = ()
 
     def test_rejects_non_finite_objective(self):
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError):
-                SdpProblem(n=1, c=np.array([[bad]]), constraints=[np.eye(1)], b=[1.0])
+                SdpProblem(n=1, c=np.array([[bad]]), a=[[1.0]], b=[1.0])
 
     def test_rejects_non_finite_constraint(self):
         # NaN entries would pass the symmetry test: every comparison with
         # NaN is false.
         for bad in (np.nan, np.inf):
-            dense = np.full((2, 2), bad)
+            dense = np.full((1, 4), bad)
             for a in (dense, sp.csr_matrix(dense)):
                 with pytest.raises(ValueError, match="finite"):
-                    SdpProblem(n=2, c=np.eye(2), constraints=[a], b=[1.0])
+                    SdpProblem(n=2, c=np.eye(2), a=a, b=[1.0])
 
     def test_rejects_bad_targets(self):
         for bad in ([1.0, 2.0], [np.nan], [[1.0]]):
             with pytest.raises(ValueError, match="finite constraint targets"):
-                SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2)], b=bad)
+                SdpProblem(n=2, c=np.eye(2), a=operator([np.eye(2)]), b=bad)
 
     def test_with_objective_shares_constraints(self):
         problem = gram_problem()
         other = problem.with_objective(np.eye(4), problem.b)
-        assert other._amat is problem._amat and other._groups is problem._groups
-        assert other.constraints is problem.constraints
+        assert other.a is problem.a and other._groups is problem._groups
         assert np.array_equal(other.c, np.eye(4))
         assert abs(solve(other).primal_obj - 4.0) < 1e-7
         with pytest.raises(ValueError):
@@ -105,7 +149,7 @@ class TestValidation:
 
 class TestBasicSolves:
     def test_scalar_equality(self):
-        prob = SdpProblem(n=1, c=np.array([[1.0]]), constraints=[np.array([[1.0]])], b=[3.0])
+        prob = SdpProblem(n=1, c=np.array([[1.0]]), a=[[1.0]], b=[3.0])
         sol = solve(prob)
         assert sol.status == OPTIMAL
         assert abs(sol.primal_obj - 3.0) < 1e-7
@@ -242,19 +286,19 @@ def failing_problems() -> dict:
     """Problems without an optimum."""
     off = np.array([[0.0, 1.0], [1.0, 0.0]])
     return {
-        "infeasible_trace": SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2)], b=[-1.0]),
-        "unbounded": SdpProblem(n=2, c=-np.eye(2), constraints=[np.diag([1.0, 0.0])], b=[1.0]),
+        "infeasible_trace": SdpProblem(n=2, c=np.eye(2), a=operator([np.eye(2)]), b=[-1.0]),
+        "unbounded": SdpProblem(n=2, c=-np.eye(2), a=operator([np.diag([1.0, 0.0])]), b=[1.0]),
         # Infeasible: 2 X12 <= tr X = 1 for PSD X.
-        "off_diagonal": SdpProblem(n=2, c=np.eye(2), constraints=[np.eye(2), off],
+        "off_diagonal": SdpProblem(n=2, c=np.eye(2), a=operator([np.eye(2), off]),
                                    b=[1.0, 5.0]),
         # Infeasible: x11 = 1 and 2 x11 = 3.
         "stalled": SdpProblem(n=2, c=np.eye(2), b=[1.0, 3.0],
-                              constraints=[np.diag([1.0, 0.0]), np.diag([2.0, 0.0])]),
+                              a=operator([np.diag([1.0, 0.0]), np.diag([2.0, 0.0])])),
         # The off-diagonal problem padded to n = 3 and 4.  At n = 3 a
         # direction stops being finite, and eigvalsh raises LinAlgError in
         # the step-length search.
         **{f"off_diagonal_n{n}": SdpProblem(n=n, c=np.eye(n), b=[1.0, 5.0],
-                                           constraints=[np.eye(n), np.pad(off, (0, n - 2))])
+                                           a=operator([np.eye(n), np.pad(off, (0, n - 2))]))
            for n in (3, 4)},
     }
 
@@ -332,7 +376,7 @@ class TestFailurePaths:
         # The Schur matrix (m = 3, n = 7) fails to factor at iterate 4,
         # where the worst measure has risen: iterate 3 is returned.
         problem, _ = engineered_problem(np.random.default_rng(182))
-        m = len(problem.constraints)
+        m = problem.a.shape[0]
         assert m != problem.n
         cholesky, schur_calls = np.linalg.cholesky, []
 
@@ -431,13 +475,13 @@ def loop_schur(problem: SdpProblem, x: np.ndarray, s_inv: np.ndarray) -> np.ndar
             rr, cc = np.nonzero(a)
             vv = a[rr, cc]
         kmat[j] = ((x[:, rr] * vv) @ s_inv[cc, :]).ravel()
-    schur = problem._amat @ kmat.T
+    schur = problem.a @ kmat.T
     return 0.5 * (schur + schur.T)
 
 
 def operator_arrays(problem: SdpProblem) -> list:
-    """Every array of the flattened constraint operator, groups included."""
-    amat = problem._amat
+    """Every array of the constraint operator, groups included."""
+    amat = problem.a
     groups = [arr for group in problem._groups for arr in group]
     return [amat.indptr, amat.indices, amat.data, problem.b, *groups]
 
@@ -472,13 +516,11 @@ def corner_problem() -> SdpProblem:
     c = np.zeros((n, n))
     c[0, 0] = 1.0  # the identity class
     c[-1, -1] = g_const + g[0] - 2.7
-    constraints = []
-    for cid in range(1, ms.class_count):
-        a = np.zeros((n, n))
-        a[:-1, :-1] = np.where(ms.entry_class == cid, -1.0, 0.0)
-        a[-1, -1] = -g[cid]
-        constraints.append(sp.csr_matrix(a))
-    return SdpProblem(n=n, c=c, constraints=constraints, b=h[1:])
+    a = np.zeros((ms.class_count - 1, n, n))
+    for i, cid in enumerate(range(1, ms.class_count)):
+        a[i, :-1, :-1] = np.where(ms.entry_class == cid, -1.0, 0.0)
+        a[i, -1, -1] = -g[cid]
+    return SdpProblem(n=n, c=c, a=sp.csr_matrix(a.reshape(-1, n * n)), b=h[1:])
 
 
 class TestSchurAssembly:
@@ -506,10 +548,10 @@ class TestSchurAssembly:
         assert np.max(np.abs(schur - oracle)) <= 1e-13 * scale
         assert np.array_equal(schur, loop_schur(problem, x, s_inv))
 
-        # Dense and sparse constraints are read alike, down to the iterates.
+        # Dense and sparse operators are read alike, down to the iterates.
         forms = [
-            SdpProblem(n=n, c=problem.c, constraints=mats, b=problem.b)
-            for mats in (dense, [sp.csr_matrix(a) for a in dense])
+            SdpProblem(n=n, c=problem.c, a=a, b=problem.b)
+            for a in (problem.a.toarray(), sp.csr_matrix(operator(dense)))
         ]
         expected = operator_arrays(problem)
         for form in forms:
@@ -524,7 +566,7 @@ class TestSchurAssembly:
     def test_groups_partition_the_constraints(self, problems):
         for problem in problems.values():
             js = np.concatenate([group[0] for group in problem._groups])
-            assert np.array_equal(np.sort(js), np.arange(len(problem.constraints)))
+            assert np.array_equal(np.sort(js), np.arange(problem.a.shape[0]))
             for _, rr, cc, vv in problem._groups:
                 assert rr.shape == cc.shape == vv.shape
         sizes = [group[1].shape[1] for group in problems["eq"]._groups]
