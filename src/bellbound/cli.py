@@ -9,13 +9,13 @@ summary printed as lines or, with --json, one object), and
 gram-demo (the 4x4 Gram-matrix SDP with its dual certificate).
 
 Numbers print with 6 decimals in human mode and 12 significant digits in
-CSV/JSON; the Tsirelson bound rounds up and the min-entropy down, so no
-printed figure claims more than its certificate gives.  Exit codes: 0
-success, 2 configuration error, 3 numerical failure.  Grid sweeps compute
-one point at a time, in grid order, and stop at the first point that
-fails.  ``--config FILE`` supplies defaults from a JSON object keyed by
-option name (``state_file``, ``grid``, ``json``, ...); flags win, and a
-key that no subcommand declares exits 2.  Importing the package pins
+CSV/JSON; the tight and Tsirelson bounds round up and the min-entropy
+down, so no printed figure claims more than its certificate gives.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure.  Grid
+sweeps compute one point at a time, in grid order, and stop at the first
+point that fails.  ``--config FILE`` supplies defaults from a JSON
+object keyed by option name (``state_file``, ``grid``, ``json``, ...);
+flags win, and a key that no subcommand declares exits 2.  Importing the package pins
 numpy's OpenBLAS to one thread, and the first SDP solve pins scipy's,
 unless OPENBLAS_NUM_THREADS is set (see bellbound.linalg).  scipy is
 loaded only by the commands that build an SDP (tsirelson, randomness,
@@ -115,7 +115,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "tight_bound": _jnum(tight),
+                    "tight_bound": float(npa.round_12(tight, up=True)),
                     "singular_values": [_jnum(v) for v in sv],
                     "classical_bound": _jnum(cb),
                     "violated": bool(violated),
@@ -123,7 +123,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             )
         )
     else:
-        print(f"tight bound      {tight:.6f}")
+        print(f"tight bound      {_fixed6(tight, up=True)}")
         print(f"singular values  {sv[0]:.6f} {sv[1]:.6f} {sv[2]:.6f}")
         print(f"classical bound  {cb:.6f}")
         print(f"violation        {'yes' if violated else 'no'}")
@@ -135,10 +135,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
     strategy = bell.optimal_measurements(state)
     report = bell.tightness_check(state, strategy)
     value = bell.expectation(state, bell.ebi(), strategy)
+    tight = bell.tight_bound(state)
     payload = {
         "strategy": json.loads(strategy.to_json()),
         "expectation": _jnum(value),
-        "tight_bound": _jnum(bell.tight_bound(state)),
+        "tight_bound": float(npa.round_12(tight, up=True)),
         "tightness": {
             "proportionality_ok": report.proportionality_ok,
             "gram_sum": _jnum(report.gram_sum),
@@ -152,7 +153,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     else:
         print(strategy.to_json())
         print(f"expectation      {value:.6f}")
-        print(f"tight bound      {payload['tight_bound']:.6f}")
+        print(f"tight bound      {_fixed6(tight, up=True)}")
         print(f"proportionality  {report.proportionality_ok}")
         print(f"gram sum         {report.gram_sum:.6f} (ok={report.gram_sum_ok})")
         print(f"alice aligned    {report.alice_aligned}")

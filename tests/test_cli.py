@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bellbound
-from bellbound import cli, npa, sdp, singlet
+from bellbound import bell, cli, npa, sdp, singlet
 from bellbound.errors import SolverError
 
 
@@ -30,7 +30,7 @@ class TestBound:
     def test_maximally_entangled(self, capsys):
         code, out, _ = run(capsys, "bound", "--state", "pure", "--theta", "0.7854")
         assert code == 0
-        assert "6.928203" in out
+        assert "tight bound      6.928204" in out  # 4 sqrt(3) = 6.9282032..., rounded up
         assert "violation        yes" in out
 
     def test_werner_half(self, capsys):
@@ -73,6 +73,22 @@ class TestBound:
         code, out, err = run(capsys, "bound", "--state-file", str(path))
         assert code == 2 and out == ""
         assert "configuration error" in err
+
+
+@pytest.mark.parametrize("state", [["singlet"], ["werner", "--p", "0.8"],
+                                   ["pure", "--theta", "0.3"]],
+                         ids=["singlet", "werner-0.8", "pure-0.3"])
+@pytest.mark.parametrize("command", ["bound", "measure"])
+def test_printed_tight_bound_never_reads_below_it(capsys, command, state):
+    value = bell.tight_bound(cli._resolve_state(cli.build_parser().parse_args(
+        [command, "--state", *state])))
+    code, out, _ = run(capsys, command, "--state", *state)
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("tight bound"))
+    assert value <= float(line.split()[2]) < value + 1e-6
+    code, out, _ = run(capsys, command, "--state", *state, "--json")
+    assert code == 0
+    assert value <= json.loads(out)["tight_bound"] < value * (1 + 1e-11)
 
 
 class TestMeasure:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from decimal import Decimal
 
 import numpy as np
@@ -153,10 +155,9 @@ class TestMomentStructure:
         # the Tsirelson and Lagrangian problems, the pinned form the
         # equality ones.
         expr = EXPRESSIONS[name]
-        ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
-        prob = npa._prob_functional(ms, expr, 0, 0, 0, 0)
-        free, pinned = (npa._moment_sdp(expr, level, form) for form in (False, True))
-        for problem in (free.problem, free.at(npa._bell_functional(ms, expr))[0],
+        free, pinned = (npa._moment_sdp(expr, level, pair) for pair in (None, (0, 0)))
+        prob = npa._prob_functional(pinned.structure, expr, 0, 0, 0, 0)
+        for problem in (free.problem, free.at(npa._bell_functional(free.structure, expr))[0],
                         pinned.problem, pinned.at(prob, classical_bound(expr))[0]):
             assert problem.a.shape[0] == problem.b.size == len(problem.constraints)
 
@@ -199,18 +200,28 @@ class TestMomentStructure:
 
     @pytest.mark.parametrize("level", npa.LEVELS)
     def test_bell_functional_matches_loop(self, level):
-        # numpy's pairwise sum reorders a row of 8 or more terms.
+        # numpy's pairwise sum reorders a row of 8 or more terms.  Every
+        # merged structure of every input pair is checked too; the last
+        # table keeps the ebi symmetry, so its merged classes sum terms of
+        # mixed magnitudes.
         rng = np.random.default_rng(40)
         tables = [
             BellExpression("float", rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape))
-            for shape in ((3, 4), (3, 11))
+            for shape in ((3, 4), (3, 11), (3, 4))
         ]
+        symmetric = tables[-1].coeffs
+        symmetric[0, 3] = symmetric[0, 2]
+        symmetric[2] = symmetric[1, [0, 1, 3, 2]]
+        assert len(npa._stabilizer(symmetric, 0, 0)) == 2
         for expr in [*EXPRESSIONS.values(), *tables]:
-            ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
-            g, const = npa._bell_functional(ms, expr)
-            g_ref, const_ref = loop_bell_functional(ms, expr)
-            assert same_bits(g, g_ref)
-            assert type(const) is float and same_bits(const, const_ref)
+            k, l = expr.coeffs.shape
+            merged = [npa._merged_structure(expr, level, (x, y))
+                      for x in range(k) for y in range(l)]
+            for ms in [build_moment_structure(k, l, level), *merged]:
+                g, const = npa._bell_functional(ms, expr)
+                g_ref, const_ref = loop_bell_functional(ms, expr)
+                assert same_bits(g, g_ref)
+                assert type(const) is float and same_bits(const, const_ref)
 
     def test_unsupported_level(self):
         with pytest.raises(UnsupportedLevel):
@@ -245,6 +256,99 @@ class TestMomentStructure:
         assert joint.tolist() == [
             [key_to_class[((x,), (y,))] for y in range(l)] for x in range(k)
         ]
+
+
+class TestSettingSymmetry:
+    IDENTITY = ((0, 1, 2), (0, 1, 2, 3))
+    EBI_SWAP = ((0, 2, 1), (0, 1, 3, 2))  # Alice 1<->2 with Bob 2<->3
+
+    @staticmethod
+    def brute_force(coeffs, x, y):
+        k, l = coeffs.shape
+        return {
+            (pa, pb)
+            for pa in itertools.permutations(range(k)) if pa[x] == x
+            for pb in itertools.permutations(range(l)) if pb[y] == y
+            if np.array_equal(coeffs[list(pa)][:, list(pb)], coeffs)
+        }
+
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 1)])
+    def test_ebi_stabilizer(self, pair):
+        assert npa._stabilizer(ebi().coeffs, *pair) == [self.IDENTITY, self.EBI_SWAP]
+
+    @pytest.mark.parametrize("name", list(EXPRESSIONS))
+    def test_matches_brute_force(self, name):
+        # Every table here has distinct columns, so the search finds the
+        # whole stabilizer.
+        coeffs = EXPRESSIONS[name].coeffs
+        for x in range(coeffs.shape[0]):
+            for y in range(coeffs.shape[1]):
+                found = npa._stabilizer(coeffs, x, y)
+                assert len(set(found)) == len(found)
+                assert set(found) == self.brute_force(coeffs, x, y)
+
+    def test_large_scenario_is_fast(self):
+        started = time.perf_counter()
+        found = npa._stabilizer(chained(8).coeffs, 0, 0)
+        assert time.perf_counter() - started <= 1.0
+        assert found == [(tuple(range(8)), tuple(range(8)))]
+
+    @pytest.mark.parametrize("level,plain,merged", [("1", 29, 19), ("1+AB", 95, 55),
+                                                    ("2", 302, 167)])
+    def test_ebi_class_counts(self, level, plain, merged):
+        base = build_moment_structure(3, 4, level)
+        assert base.class_count == plain
+        for pair in ((0, 0), (0, 1)):
+            ms = npa._merged_structure(ebi(), level, pair)
+            assert ms.class_count == merged
+            # Each merged class is a union of plain classes, and every class
+            # shares its label with its image under the swap.
+            labels = np.zeros(plain, dtype=np.int64)
+            labels[base.entry_class] = ms.entry_class
+            assert np.array_equal(labels[base.entry_class], ms.entry_class)
+            assert sorted(set(labels.tolist())) == list(range(merged))
+            index = {m: i for i, m in enumerate(base.monomials)}
+            pa, pb = self.EBI_SWAP
+            p = [index[npa.Monomial(tuple(pa[s] for s in m.alice), tuple(pb[s] for s in m.bob))]
+                 for m in base.monomials]
+            assert np.array_equal(ms.entry_class, ms.entry_class[np.ix_(p, p)])
+
+    @pytest.mark.parametrize("level", npa.LEVELS)
+    @pytest.mark.parametrize("expr", [chsh(), chained(3)], ids=["chsh", "chained3"])
+    def test_trivial_stabilizer_keeps_the_plain_structure(self, expr, level):
+        k, l = expr.coeffs.shape
+        ms = build_moment_structure(k, l, level)
+        for x in range(k):
+            for y in range(l):
+                assert npa._stabilizer(expr.coeffs, x, y) == [(tuple(range(k)), tuple(range(l)))]
+                assert npa._merged_structure(expr, level, (x, y)) is ms
+        assert npa._moment_sdp(expr, level, (0, 0)).structure is ms
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("level", npa.LEVELS)
+    def test_merged_certificates_match_unmerged(self, level):
+        # Both forms certify the same optimum.  Each solve stops at a
+        # relative gap and residuals of 1e-8 and its certificate adds the
+        # clipped residual, so the two may differ by a few 1e-8; the
+        # solver's own primal-dual gap does not bound this (its dual
+        # iterate is feasible only to about 1e-9).
+        expr = ebi()
+        cb, qmax = classical_bound(expr), tsirelson_bound(expr, level)
+        plain = build_moment_structure(3, 4, level)
+        unmerged = npa._reduced_sdp(plain, npa._bell_functional(plain, expr))
+        for fraction in (0.3, 0.7, 0.95):
+            value = cb + fraction * (qmax - cb)
+            for pair in ((0, 0), (0, 1)):
+                merged = npa._moment_sdp(expr, level, pair)
+                assert merged.structure.class_count < plain.class_count
+                for a in range(2):
+                    for b in range(2):
+                        bounds = []
+                        for sdp in (merged, unmerged):
+                            prob = npa._prob_functional(sdp.structure, expr, *pair, a, b)
+                            problem, const = sdp.at(prob, value)
+                            bounds.append(const + certified_upper_bound(problem, solve(problem)))
+                        assert abs(bounds[0] - bounds[1]) <= 1e-7
 
 
 class TestTsirelsonBound:
@@ -372,11 +476,14 @@ class TestGuessProblemReuse:
     @pytest.mark.parametrize("level", ["1+AB", "2"])
     @pytest.mark.parametrize("expr", [ebi(), chsh()], ids=["ebi", "chsh"])
     def test_reused_problem_matches_fresh_build(self, expr, level):
-        ms = build_moment_structure(expr.alice_settings, expr.bob_settings, level)
+        # The fresh problem is built on the merged structure that
+        # max_guessing_probability solves over.
+        ms = npa._merged_structure(expr, level, (0, 0))
         bell = npa._bell_functional(ms, expr)
         cb, qmax = classical_bound(expr), tsirelson_bound(expr, level)
         values = [cb + f * (qmax - cb) for f in (0.3, 0.6, 0.9)]
-        reused = npa._moment_sdp(expr, level, pinned=True)
+        reused = npa._moment_sdp(expr, level, (0, 0))
+        assert reused.structure is ms
         for value in values + values[-2::-1]:  # up, then back down
             best = 0.0
             for a in range(2):
@@ -416,6 +523,29 @@ class TestGuessProblemReuse:
         assert all(op is equality[0] for op in equality)
         assert all(op is tsirelson for op in lagrangian)
         assert equality[0] is not tsirelson
+
+    def test_pairs_with_one_stabilizer_share_an_operator(self, monkeypatch):
+        # ebi's pairs (0, 0) and (0, 1) merge their classes alike, so their
+        # equality-form solves share one operator; pair (0, 2) merges
+        # nothing and has its own, as does the Bell-free form.
+        expr, level = ebi(), "1"
+        operators = []
+
+        def recording(problem):
+            operators.append(problem.a)
+            return solve(problem)
+
+        monkeypatch.setattr(npa, "_tsirelson_cache", {})
+        monkeypatch.setattr(npa, "solve", recording)
+        value = 0.5 * (classical_bound(expr) + tsirelson_bound(expr, level))
+        for pair in ((0, 0), (0, 1), (0, 2)):
+            max_guessing_probability(expr, value, pair, level)
+        tsirelson, shared, plain = operators[0], operators[1:9], operators[9:]
+        assert len(operators) == 13
+        assert all(op is shared[0] for op in shared)
+        assert all(op is plain[0] for op in plain)
+        assert shared[0].shape[0] == 19 - 2 and plain[0].shape[0] == 29 - 2
+        assert len({id(op) for op in (tsirelson, shared[0], plain[0])}) == 3
 
 
 class TestRandomnessPoint:

@@ -489,17 +489,16 @@ def operator_arrays(problem: SdpProblem) -> list:
 def ebi_guess_problem(bell_value: float) -> SdpProblem:
     """The equality-form guessing SDP of p(00|00) for ebi at level 2."""
     expr = bell.ebi()
-    ms = npa._structure_cached(expr.alice_settings, expr.bob_settings, "2")
-    prob = npa._prob_functional(ms, expr, 0, 0, 0, 0)
-    return npa._moment_sdp(expr, "2", pinned=True).at(prob, bell_value)[0]
+    sdp = npa._moment_sdp(expr, "2", (0, 0))
+    prob = npa._prob_functional(sdp.structure, expr, 0, 0, 0, 0)
+    return sdp.at(prob, bell_value)[0]
 
 
 def ebi_problems() -> dict:
     expr = bell.ebi()
-    ms = npa._structure_cached(expr.alice_settings, expr.bob_settings, "2")
-    tsirelson = npa._moment_sdp(expr, "2", pinned=False)
+    tsirelson = npa._moment_sdp(expr, "2")
     return {
-        "tsirelson": tsirelson.at(npa._bell_functional(ms, expr))[0],
+        "tsirelson": tsirelson.at(npa._bell_functional(tsirelson.structure, expr))[0],
         "eq": ebi_guess_problem(0.9 * npa.tsirelson_bound(expr, "2")),
     }
 
@@ -569,8 +568,9 @@ class TestSchurAssembly:
             assert np.array_equal(np.sort(js), np.arange(problem.a.shape[0]))
             for _, rr, cc, vv in problem._groups:
                 assert rr.shape == cc.shape == vv.shape
+        # Merged classes (see npa._merged_structure) give wider rows.
         sizes = [group[1].shape[1] for group in problems["eq"]._groups]
-        assert sizes == [2, 3, 4, 6, 10, 12, 14]
+        assert sizes == [2, 3, 4, 6, 8, 10, 12, 14, 20, 21, 24, 27, 28, 36]
         assert [group[1].shape[1] for group in problems["gram"]._groups] == [1]
 
 
