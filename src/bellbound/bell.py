@@ -106,7 +106,9 @@ class MeasurementStrategy:
     bob: np.ndarray    # (l, 3)
 
     def __post_init__(self):
-        for label, vecs in (("alice", self.alice), ("bob", self.bob)):
+        for label in ("alice", "bob"):
+            vecs = np.asarray(getattr(self, label), dtype=float)
+            object.__setattr__(self, label, vecs)
             if vecs.ndim != 2 or vecs.shape[1] != 3 or vecs.shape[0] == 0:
                 raise DimensionMismatch(f"{label} vectors must have shape (n, 3), n >= 1")
             norms = np.linalg.norm(vecs, axis=1)
@@ -143,7 +145,8 @@ class Behavior:
     table: np.ndarray  # (k, l, 2, 2)
 
     def __post_init__(self):
-        p = self.table
+        p = np.asarray(self.table, dtype=float)
+        object.__setattr__(self, "table", p)
         if p.ndim != 4 or p.shape[2:] != (2, 2) or 0 in p.shape:
             raise DimensionMismatch(f"behavior table has shape {p.shape}")
         if not np.all(np.isfinite(p)):
@@ -192,6 +195,12 @@ _EBI_COEFFS = np.array(
 
 def ebi() -> BellExpression:
     return BellExpression("ebi", _EBI_COEFFS)
+
+
+# tightness_check's constants: the expression, and the index pairs k < l
+# of Bob's Gram matrix.
+_EBI = ebi()
+_UPPER_PAIRS = np.triu_indices(4, k=1)
 
 
 def chsh() -> BellExpression:
@@ -272,7 +281,7 @@ def tightness_check(
     combination or image fails (i) or (iii) only where l_k does not vanish
     (l_k > EPS_TIGHT * max(1, l_1)).
     """
-    expr = ebi()
+    expr = _EBI
     _check_shapes(expr, strategy)
     t = correlation_data(state).t
     lam = np.linalg.svd(t, compute_uv=False)
@@ -287,7 +296,7 @@ def tightness_check(
     )
 
     gram = strategy.bob @ strategy.bob.T
-    gram_sum = float(np.sum(gram[np.triu_indices(4, k=1)]))
+    gram_sum = float(np.sum(gram[_UPPER_PAIRS]))
     gram_ok = abs(gram_sum + 2.0) <= EPS_TIGHT
 
     images = combos @ t.T
@@ -355,19 +364,45 @@ def _seesaw_tables(k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return alice_blocks, bob_blocks, bob_first
 
 
+def _unit_starts(
+    rng: np.random.Generator, restarts: int, k: int, l: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random unit starting vectors of the see-saw, one row per restart:
+    Alice's k vectors side by side, then Bob's l."""
+
+    def unit_rows(shape):
+        v = rng.normal(size=shape)
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    alice = unit_rows((restarts, k, 3)).reshape(restarts, 3 * k)
+    bob = unit_rows((restarts, l, 3)).reshape(restarts, 3 * l)
+    return alice, bob
+
+
+@functools.lru_cache(maxsize=32)
+def _seeded_starts(restarts: int, seed: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts of an integer seed, drawn once and kept read-only."""
+    starts = _unit_starts(np.random.default_rng(seed), restarts, k, l)
+    for vectors in starts:
+        vectors.setflags(write=False)
+    return starts
+
+
 def seesaw_max_violation(
     state: TwoQubitState,
     expr: BellExpression,
     restarts: int = 20,
-    seed: int = 0,
+    seed: int | None = 0,
 ) -> tuple[float, MeasurementStrategy]:
     """Alternating closed-form maximization of the correlator expression.
 
     With Bob fixed, each Alice vector is the normalized image
     T (sum_l c_kl b_l); with Alice fixed, each Bob vector is the normalized
     image T^T (sum_k c_kl a_k).  Restarts run from seeded random unit
-    vectors and the best converged value wins (first restart on ties).
-    The objective is monotone nondecreasing along the updates.
+    vectors and the best converged value wins (first restart on ties);
+    the starts of an integer seed are drawn once and cached, any other
+    seed, None included, draws them afresh.  The objective is monotone
+    nondecreasing along the updates.
 
     Each restart is one row of its party's vectors side by side, and T is
     folded into the coefficient table once, so a sweep is one matrix
@@ -386,14 +421,11 @@ def seesaw_max_violation(
     t = correlation_data(state).t
     coeffs = expr.coeffs
     k, l = coeffs.shape
-    rng = np.random.default_rng(seed)
-
-    def unit_rows(shape):
-        v = rng.normal(size=shape)
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    alice = unit_rows((restarts, k, 3)).reshape(restarts, 3 * k)
-    bob = unit_rows((restarts, l, 3)).reshape(restarts, 3 * l)
+    if type(seed) is int:
+        # The sweep overwrites its vectors, so it works on copies.
+        alice, bob = (v.copy() for v in _seeded_starts(restarts, seed, k, l))
+    else:
+        alice, bob = _unit_starts(np.random.default_rng(seed), restarts, k, l)
     # kron(C^T, T^T) (3l, 3k): bob row -> T sum_l c_kl b_l, and
     # kron(C, T) (3k, 3l): alice row -> T^T sum_k c_kl a_k.
     to_alice = (coeffs.T[:, None, :, None] * t.T[:, None, :]).reshape(3 * l, 3 * k)

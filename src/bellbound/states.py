@@ -40,10 +40,12 @@ class TwoQubitState:
 
     Construction checks Hermiticity, unit trace and positive
     semidefiniteness (up to EPS_PSD).  Instances are immutable; ``rho`` is
-    exposed as a read-only array.
+    exposed as a read-only array.  The Pauli-correlation array that
+    :func:`correlation_data` reads is computed on first use and kept in the
+    ``_correlations`` slot, also read-only.
     """
 
-    __slots__ = ("rho",)
+    __slots__ = ("rho", "_correlations")
 
     def __init__(self, rho: np.ndarray):
         rho = np.array(rho, dtype=complex)
@@ -118,8 +120,19 @@ def singlet() -> TwoQubitState:
 
 
 def correlation_data(state: TwoQubitState) -> CorrelationData:
-    """Extract (r, s, T) with r_i = tr((sigma_i (x) I) rho) and friends."""
-    c = np.einsum("abij,ji->ab", _PAULI_PAIRS, state.rho).real
+    """Extract (r, s, T) with r_i = tr((sigma_i (x) I) rho) and friends.
+
+    The three are read-only views of the state's 4x4 array
+    c_ab = tr(sigma_a (x) sigma_b rho), computed once per state.  Threads
+    that fill it at the same time store equal arrays, so the race is benign.
+    """
+    try:
+        c = state._correlations
+    except AttributeError:
+        # A real copy: the einsum's complex output need not be kept alive.
+        c = np.einsum("abij,ji->ab", _PAULI_PAIRS, state.rho).real.copy()
+        c.flags.writeable = False
+        object.__setattr__(state, "_correlations", c)
     return CorrelationData(r=c[1:, 0], s=c[0, 1:], t=c[1:, 1:])
 
 

@@ -485,6 +485,38 @@ class TestSeesaw:
         with pytest.raises(OutOfRange):
             seesaw_max_violation(singlet(), ebi(), restarts=0)
 
+    def test_integer_seed_repeats_bits(self):
+        state = pure_state(0.4712)
+        first = seesaw_max_violation(state, chained(3), restarts=8, seed=11)
+        again = seesaw_max_violation(state, chained(3), restarts=8, seed=11)
+        assert first[0] == again[0]
+        assert np.array_equal(first[1].alice, again[1].alice)
+        assert np.array_equal(first[1].bob, again[1].bob)
+
+    def test_cached_starts_stay_read_only_and_unchanged(self):
+        # The sweep writes into its vectors in place; it must work on copies
+        # of the cached starts, never on the cached arrays themselves.
+        starts = bell._seeded_starts(6, 12, 3, 4)
+        before = [v.copy() for v in starts]
+        hits = bell._seeded_starts.cache_info().hits
+        seesaw_max_violation(werner_state(0.7), ebi(), restarts=6, seed=12)
+        assert bell._seeded_starts.cache_info().hits == hits + 1
+        for vectors, copy in zip(starts, before):
+            assert not vectors.flags.writeable
+            assert np.array_equal(vectors, copy)
+        with pytest.raises(ValueError):
+            starts[0][0, 0] = 0.0
+
+    def test_none_seed_draws_fresh_starts(self):
+        # At the maximally mixed state every image vanishes, so the result
+        # is the first restart's start: two unseeded calls must differ.
+        calls = [
+            seesaw_max_violation(werner_state(0.0), ebi(), restarts=2, seed=None)[1]
+            for _ in range(2)
+        ]
+        assert not np.array_equal(calls[0].alice, calls[1].alice)
+        assert not np.array_equal(calls[0].bob, calls[1].bob)
+
 
 class TestBehavior:
     def test_singlet_anticorrelation(self):
@@ -509,6 +541,14 @@ class TestBehavior:
     def test_rejects_non_finite_table(self):
         with pytest.raises(OutOfRange):
             bell.Behavior(table=np.full((1, 1, 2, 2), np.nan))
+
+    def test_accepts_nested_lists(self):
+        behavior = bell.Behavior(table=[[[[0.25, 0.25], [0.25, 0.25]]]])
+        assert behavior.table.dtype == np.float64
+        assert behavior.table.shape == (1, 1, 2, 2)
+        assert np.array_equal(behavior.correlators(), [[0.0]])
+        with pytest.raises(DimensionMismatch):
+            bell.Behavior(table=[[[0.5, 0.5]]])
 
     def test_matches_projector_trace(self):
         # Reference: p(ab|xy) = tr(rho (P_a (x) P_b)) with P_+- = (I +- v.sigma)/2.
@@ -630,6 +670,14 @@ class TestStrategySerialization:
     def test_rejects_non_unit(self):
         with pytest.raises(OutOfRange):
             MeasurementStrategy(alice=np.eye(3) * 2.0, bob=np.eye(3))
+
+    def test_accepts_nested_lists(self):
+        strategy = MeasurementStrategy(alice=[[1, 0, 0]] * 3, bob=[[1, 0, 0]] * 4)
+        assert strategy.alice.dtype == strategy.bob.dtype == np.float64
+        assert strategy.alice.shape == (3, 3) and strategy.bob.shape == (4, 3)
+        assert expectation(singlet(), ebi(), strategy) == 0.0
+        with pytest.raises(DimensionMismatch):
+            MeasurementStrategy(alice=[[1, 0]] * 3, bob=[[1, 0, 0]] * 4)
 
     def test_rejects_nan_vector(self):
         alice = np.eye(3)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from bellbound import (
     werner_state,
 )
 from bellbound.errors import OutOfRange
-from bellbound.states import ID2, PAULI
+from bellbound.states import _PAULI_PAIRS, ID2, PAULI
 
 
 def trace_oracle(state: TwoQubitState) -> CorrelationData:
@@ -124,6 +127,47 @@ class TestCorrelationData:
             assert np.max(np.abs(data.r - oracle.r)) < 1e-13
             assert np.max(np.abs(data.s - oracle.s)) < 1e-13
             assert np.max(np.abs(data.t)) <= 1 + 1e-10
+
+    def test_computed_once_per_state_and_read_only(self):
+        state = werner_state(0.6)
+        first, again = correlation_data(state), correlation_data(state)
+        for name in ("r", "s", "t"):
+            a, b = getattr(first, name), getattr(again, name)
+            assert a.base is b.base
+            assert not a.flags.writeable
+        fresh = np.einsum("abij,ji->ab", _PAULI_PAIRS, state.rho).real
+        assert np.array_equal(first.t, fresh[1:, 1:])
+        assert np.array_equal(first.r, fresh[1:, 0])
+        assert np.array_equal(first.s, fresh[0, 1:])
+        with pytest.raises(ValueError):
+            first.t[0, 0] = 1.0
+        assert np.array_equal(correlation_data(state).t, fresh[1:, 1:])
+
+    def test_threads_filling_the_same_states_agree(self):
+        # Threads that fill a state's array at the same time store equal
+        # values; every reader sees the einsum's bits whichever store won.
+        rng = np.random.default_rng(8)
+        shared = [werner_state(p) for p in rng.uniform(size=40)]
+        expected = [np.einsum("abij,ji->ab", _PAULI_PAIRS, s.rho).real for s in shared]
+        seen = {}
+
+        def read(worker):
+            seen[worker] = [correlation_data(s).t for s in shared]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(seen) == list(range(6))
+        for ts in seen.values():
+            assert all(np.array_equal(t, c[1:, 1:]) for t, c in zip(ts, expected))
 
     def test_round_trip_reconstruction(self):
         thetas = np.linspace(0, np.pi / 4, 20)
