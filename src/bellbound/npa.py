@@ -27,6 +27,12 @@ with the same optima.  Pairs that merge alike share one operator.
 
 Every value is read from the upper-bounding side through one certificate,
 :func:`~bellbound.sdp.certified_upper_bound`, whatever the solver status.
+A guessing probability is the largest of four outcome certificates, so
+each outcome solve after the first stops ``bounded`` as soon as its own
+iterate certifies a value below the largest so far, less a margin that
+scales with the problem.  A solve that does not stop runs as it would
+without the test, so the maximum is that of four full solves, bit for bit,
+wherever those would end within the margin of their optima.
 Within 1e-6 of the Tsirelson bound the guessing SDP is the Bell-free
 Lagrangian form max p(ab|xy) + lam (Bell - I) instead of the Bell equality.
 
@@ -345,9 +351,18 @@ def _moment_sdp(expr: BellExpression, level: str, input_pair=None) -> _ReducedSd
     return sdp
 
 
-def _certified_value(problem: SdpProblem, const: float) -> float:
-    """``const`` plus the certified upper bound of one solve of ``problem``."""
-    return float(const + certified_upper_bound(problem, solve(problem)))
+def _certified_value(problem: SdpProblem, const: float, beat: float = -math.inf) -> float:
+    """``const`` plus the certified upper bound of one solve of ``problem``.
+
+    The solve stops ``bounded`` once its iterate certifies a value below
+    ``beat`` by 1e-6 (1 + |beat - const|), a margin in the problem's own
+    units: the Lagrangian endpoint problems sit near 1e3, where a 1e-8
+    relative gap is about 1e-5.  Run to the end, an optimal solve would
+    certify within its gap of the optimum, which no certificate undercuts,
+    so still less than ``beat``: max(beat, value) is unchanged."""
+    t = beat - const
+    solution = solve(problem, stop_below=t - 1e-6 * (1.0 + abs(t)))
+    return float(const + certified_upper_bound(problem, solution))
 
 
 _tsirelson_cache: dict = {}
@@ -383,7 +398,9 @@ def max_guessing_probability(
     Lagrangian bound over ``_ENDPOINT_LAMBDAS`` signed like I.  The pinned
     SDPs run over the moment classes merged under the setting permutations
     that fix (x, y) and the table (:func:`_merged_structure`), which leaves
-    their optima unchanged; the Lagrangian ones over the plain classes."""
+    their optima unchanged; the Lagrangian ones over the plain classes.
+    Every solve after the first outcome's stops once it certifies less than
+    the running maximum (:func:`_certified_value`): the maximum is kept."""
     level = _normalize_level(level)
     _check_input_pair(expr, input_pair)
     x, y = input_pair
@@ -397,18 +414,18 @@ def max_guessing_probability(
     endpoint = abs(bell_value) >= qmax - 1e-6
     sdp = _moment_sdp(expr, level, None if endpoint else (x, y))
     g, g_const = _bell_functional(sdp.structure, expr)
-    best = 0.0
+    best = -math.inf
     for a in range(2):
         for b in range(2):
             h, h_const = _prob_functional(sdp.structure, expr, x, y, a, b)
             if not endpoint:
-                best = max(best, _certified_value(*sdp.at((h, h_const), bell_value)))
+                best = max(best, _certified_value(*sdp.at((h, h_const), bell_value), best))
                 continue
             bounds = []
             for lam in _ENDPOINT_LAMBDAS:
                 lam = math.copysign(lam, bell_value)
                 problem, const = sdp.at((h + lam * g, h_const + lam * g_const))
-                bounds.append(_certified_value(problem, const - lam * bell_value))
+                bounds.append(_certified_value(problem, const - lam * bell_value, best))
             best = max(best, min(bounds))
     return float(min(1.0, max(0.25, best)))
 

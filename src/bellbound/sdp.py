@@ -41,6 +41,7 @@ from .linalg import solve_cholesky, solve_lower
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_FAILURE = "numerical_failure"
+BOUNDED = "bounded"
 
 _MAX_ITER = 200
 _STALL = 80  # iterates without a new most balanced iterate; see solve
@@ -133,6 +134,8 @@ class SdpSolution:
     bound on the optimum: on one ebi level-1 guessing solve it read
     0.9274234798 against an optimum of 0.9274234517 found by re-solving at
     1e-11.  The bound this package reports is ``certified_upper_bound``.
+    A ``bounded`` solution is the first iterate whose certificate fell below
+    the solve's ``stop_below``: a valid bound, not a near-optimal one.
     """
 
     x: np.ndarray
@@ -146,7 +149,7 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     history: list = field(default_factory=list, repr=False)
-    reason: str = ""  # optimal, iteration_cap, stalled, schur_breakdown or diverged
+    reason: str = ""  # optimal, bounded, iteration_cap, stalled, schur_breakdown or diverged
 
 
 def _max_step(ell: np.ndarray, dm: np.ndarray) -> float:
@@ -196,20 +199,27 @@ def _step(m: np.ndarray, ell: np.ndarray, dm: np.ndarray, alpha: float):
     return 0.0, m, ell
 
 
-def solve(problem: SdpProblem) -> SdpSolution:
-    """Run the interior-point iteration to the 1e-8 relative tolerances.
+def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
+    """Run the interior-point iteration to the 1e-8 relative tolerances, or
+    until an iterate certifies a value below ``stop_below``.
 
     The most balanced iterate is the one with the smallest max(rel_gap,
     pres, dres).  ``reason`` names the stop that fired: ``optimal`` (every
-    tolerance met), ``iteration_cap`` (200 iterates), ``stalled`` (80
-    iterates with no new most balanced iterate, above the 71 of the longest
-    such run in an optimal solve of the test suite), ``schur_breakdown``
-    (the Schur matrix would not factor) or ``diverged`` (the iterate or a
-    direction is not finite, or mu < 0).  Every stop but ``optimal``
-    returns the most balanced iterate, recorded once more at the end of
-    ``history`` when it is not the last.  ``status`` is ``optimal``,
-    ``numerical_failure`` on a Schur breakdown or on divergence when no
-    iterate came within 1e-5, and otherwise ``max_iterations``.
+    tolerance met), ``bounded`` (the iterate's own certificate tr(C X) +
+    ||b - A vec X||_1 is below ``stop_below``; it is
+    :func:`certified_upper_bound` with X+ = X, as X factors at every
+    iterate), ``iteration_cap`` (200 iterates), ``stalled`` (80 iterates
+    with no new most balanced iterate, above the 71 of the longest such run
+    in an optimal solve of the test suite), ``schur_breakdown`` (the Schur
+    matrix would not factor) or ``diverged`` (the iterate or a direction is
+    not finite, or mu < 0).  ``optimal`` and ``bounded`` return the last
+    iterate, with ``status`` equal to ``reason``; every other stop returns
+    the most balanced iterate, recorded once more at the end of ``history``
+    when it is not the last, with ``status`` ``numerical_failure`` on a
+    Schur breakdown or on divergence when no iterate came within 1e-5, and
+    otherwise ``max_iterations``.  The test only reads the iterate, so a
+    solve that does not stop ``bounded`` runs the same iterates, bit for
+    bit, whatever ``stop_below``.
     """
     n = problem.n
     c_int = 0.5 * (problem.c + problem.c.T)
@@ -247,10 +257,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 "dual_residual": dr,
             }
         )
-        return pobj, dobj, rd, pr, dr, mu
+        return pobj, dobj, rp, rd, pr, dr, mu
 
     for iterations in range(_MAX_ITER + 1):
-        pobj, dobj, rd, pres, dres, mu = record()
+        pobj, dobj, rp, rd, pres, dres, mu = record()
         if not np.all(np.isfinite([pobj, dobj, mu, pres, dres])) or mu < 0:
             reason = "diverged"
             break
@@ -260,6 +270,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
             best_worst, best_at, best_iterate = worst, iterations, (x, y, s)
         if rel_gap <= _GAP_TOL and pres <= _FEAS_TOL and dres <= _FEAS_TOL:
             status = reason = OPTIMAL
+            break
+        if _certificate(pobj, rp) < stop_below:
+            status = reason = BOUNDED
             break
         reason = ("iteration_cap" if iterations == _MAX_ITER
                   else "stalled" if iterations - best_at >= _STALL else "")
@@ -329,7 +342,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     if reason == "diverged":
         status = MAX_ITERATIONS if best_worst <= 1e-5 else NUMERICAL_FAILURE
-    if status != OPTIMAL and best_iterate[1] is not y:
+    if status not in (OPTIMAL, BOUNDED) and best_iterate[1] is not y:
         # One exit for every failed solve: the most balanced iterate seen.
         # Only y is rebound at every step, so it names the iterate.
         x, y, s = best_iterate
@@ -351,6 +364,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
     )
 
 
+def _certificate(objective: float, residual: np.ndarray) -> float:
+    """tr(C X) + ||b - A vec X||_1 from tr(C X) and the residual b - A vec X:
+    the one formula behind every certificate, in and after a solve."""
+    return float(objective + np.sum(np.abs(residual)))
+
+
 def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
     """tr(C X+) + ||b - A vec(X+)||_1, X+ the solution's X with its
     eigenvalues clipped at 0: an upper bound on b.y for every dual-feasible
@@ -363,8 +382,7 @@ def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
     if np.all(np.isfinite(solution.x)):
         w, v = np.linalg.eigh(0.5 * (solution.x + solution.x.T))
         x_plus = (v * np.clip(w, 0.0, None)) @ v.T
-        residual = problem.b - problem.a @ x_plus.ravel()
-        bound = float(np.sum(problem.c * x_plus) + np.sum(np.abs(residual)))
+        bound = _certificate(np.sum(problem.c * x_plus), problem.b - problem.a @ x_plus.ravel())
     if not np.isfinite(bound):
         raise SolverError(
             f"no finite bound: solver ended with status {solution.status} "

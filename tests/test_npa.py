@@ -461,6 +461,29 @@ class TestGuessingProbability:
         with pytest.raises(OutOfRange):
             max_guessing_probability(chsh(), 2.2, (-1, 0), 2)
 
+    def test_bounded_stops_leave_every_value_unchanged(self, monkeypatch):
+        # Each solve after the first outcome's may stop once it certifies
+        # less than the running maximum; the maximum is that of one full
+        # solve per outcome, bit for bit, mid-curve and at q_max alike.
+        cases = []
+        for expr, other in ((chsh(), (1, 0)), (ebi(), (1, 2)), (chained(3), (2, 1))):
+            for level in ("1", "1+AB"):
+                cb, qmax = classical_bound(expr), tsirelson_bound(expr, level)
+                for value in (0.5 * (cb + qmax), qmax):
+                    cases += [(expr, value, pair, level) for pair in ((0, 0), other)]
+        reasons = []
+
+        def logged(problem, **kwargs):
+            sol = solve(problem, **kwargs)
+            reasons.append(sol.reason)
+            return sol
+
+        monkeypatch.setattr(npa, "solve", logged)
+        values = [max_guessing_probability(*case) for case in cases]
+        assert reasons.count("bounded") >= len(cases)
+        monkeypatch.setattr(npa, "solve", lambda problem, **kwargs: solve(problem))
+        assert values == [max_guessing_probability(*case) for case in cases]
+
     def test_all_input_pairs_agree_at_maximum(self):
         # The maximal-violation behavior is setting-symmetric.
         values = [
@@ -508,9 +531,9 @@ class TestGuessProblemReuse:
         expr, level = chsh(), "1+AB"
         operators = []
 
-        def recording(problem):
+        def recording(problem, **kwargs):
             operators.append(problem.a)
-            return solve(problem)
+            return solve(problem, **kwargs)
 
         monkeypatch.setattr(npa, "_tsirelson_cache", {})
         monkeypatch.setattr(npa, "solve", recording)
@@ -531,9 +554,9 @@ class TestGuessProblemReuse:
         expr, level = ebi(), "1"
         operators = []
 
-        def recording(problem):
+        def recording(problem, **kwargs):
             operators.append(problem.a)
-            return solve(problem)
+            return solve(problem, **kwargs)
 
         monkeypatch.setattr(npa, "_tsirelson_cache", {})
         monkeypatch.setattr(npa, "solve", recording)

@@ -18,6 +18,7 @@ from bellbound import (
 )
 from bellbound.errors import SolverError
 from bellbound.sdp import (
+    BOUNDED,
     MAX_ITERATIONS,
     NUMERICAL_FAILURE,
     OPTIMAL,
@@ -242,6 +243,46 @@ class TestCertifiedUpperBound:
             certified_upper_bound(gram_problem(), sol)
 
 
+class TestBoundedStop:
+    """``stop_below`` ends a solve at the first iterate whose own
+    certificate is below it, and changes nothing about a solve it does
+    not stop."""
+
+    @pytest.fixture(scope="class", params=["gram", "ebi_eq"])
+    def problem(self, request):
+        if request.param == "gram":
+            return gram_problem()
+        return ebi_guess_problem(0.9 * npa.tsirelson_bound(bell.ebi(), "2"))
+
+    def test_threshold_above_the_optimum_stops_bounded(self, problem):
+        full = solve(problem)
+        optimum = certified_upper_bound(problem, full)
+        threshold = optimum + 0.01 * (1.0 + abs(optimum))
+        sol = solve(problem, stop_below=threshold)
+        assert sol.status == sol.reason == BOUNDED
+        assert sol.iterations < full.iterations
+        # The last iterate is returned, and it is not recorded twice.
+        assert len(sol.history) == sol.iterations + 1
+        c_sym = 0.5 * (problem.c + problem.c.T)
+        assert float(np.sum(c_sym * sol.x)) == sol.history[-1]["primal_obj"]
+        in_loop = sdp._certificate(sol.history[-1]["primal_obj"],
+                                   problem.b - problem.a @ sol.x.ravel())
+        bound = certified_upper_bound(problem, sol)
+        assert bound < threshold and in_loop < threshold
+        assert abs(bound - in_loop) <= 1e-12 * (1.0 + abs(in_loop))
+        assert bound >= optimum - 1e-7 * (1.0 + abs(optimum))
+
+    def test_threshold_below_the_optimum_changes_nothing(self, problem):
+        full = solve(problem)
+        optimum = certified_upper_bound(problem, full)
+        sol = solve(problem, stop_below=optimum - 1e-6 * (1.0 + abs(optimum)))
+        assert (sol.status, sol.reason, sol.iterations) == (
+            full.status, full.reason, full.iterations)
+        assert sol.history == full.history
+        for got, want in ((sol.x, full.x), (sol.y, full.y), (sol.s, full.s)):
+            assert np.array_equal(got, want)
+
+
 class TestSolverInvariants:
     def test_weak_duality_on_feasible_iterates(self):
         # Weak duality is a statement about feasible pairs; with an
@@ -353,11 +394,12 @@ class TestFailurePaths:
         # Criterion 8's second pure-state grid point for CHSH at level 2:
         # one outcome solve stops stalled at iterate 92, and the certified
         # value is that of running it to the 200-iterate cap, bit for bit.
+        # Two dominated outcomes stop bounded at iterate 8 either way.
         npa.tsirelson_bound(bell.chsh(), "2")  # cached, so only guessing solves follow
         solutions = []
 
-        def logged(problem):
-            solutions.append(solve(problem))
+        def logged(problem, **kwargs):
+            solutions.append(solve(problem, **kwargs))
             return solutions[-1]
 
         monkeypatch.setattr(npa, "solve", logged)
@@ -365,12 +407,14 @@ class TestFailurePaths:
         assert value == 0.9997428447130182
         assert len(solutions) == 4
         assert [(s.reason, s.iterations) for s in solutions if s.reason != OPTIMAL] == [
-            ("stalled", 92)
+            ("stalled", 92), ("bounded", 8), ("bounded", 8)
         ]
         monkeypatch.setattr(sdp, "_STALL", sdp._MAX_ITER + 1)
         solutions.clear()
         assert npa.max_guessing_probability(bell.chsh(), 2.0010270399220813, (0, 0), "2") == value
-        assert [s.reason for s in solutions if s.reason != OPTIMAL] == ["iteration_cap"]
+        assert [s.reason for s in solutions if s.reason != OPTIMAL] == [
+            "iteration_cap", "bounded", "bounded"
+        ]
 
     def test_schur_breakdown_is_named(self, monkeypatch):
         # The Schur matrix (m = 3, n = 7) fails to factor at iterate 4,
