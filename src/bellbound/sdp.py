@@ -42,9 +42,12 @@ OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_FAILURE = "numerical_failure"
 BOUNDED = "bounded"
+_STATUS = {OPTIMAL: OPTIMAL, BOUNDED: BOUNDED, "iteration_cap": MAX_ITERATIONS,
+           "stalled": MAX_ITERATIONS, "schur_breakdown": NUMERICAL_FAILURE,
+           "diverged": NUMERICAL_FAILURE}  # status of each reason
 
 _MAX_ITER = 200
-_STALL = 80  # iterates without a new most balanced iterate; see solve
+_STALL = 80  # iterates without a new smallest certificate; see solve
 _GAP_TOL = 1e-8
 _FEAS_TOL = 1e-8
 _STEP_FRACTION = 0.98
@@ -134,7 +137,8 @@ class SdpSolution:
     bound on the optimum: on one ebi level-1 guessing solve it read
     0.9274234798 against an optimum of 0.9274234517 found by re-solving at
     1e-11.  The bound this package reports is ``certified_upper_bound``.
-    A ``bounded`` solution is the first iterate whose certificate fell below
+    Every solution but an ``optimal`` one is the iterate with the smallest
+    certificate; a ``bounded`` one is the first whose certificate fell below
     the solve's ``stop_below``: a valid bound, not a near-optimal one.
     """
 
@@ -203,23 +207,21 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
     """Run the interior-point iteration to the 1e-8 relative tolerances, or
     until an iterate certifies a value below ``stop_below``.
 
-    The most balanced iterate is the one with the smallest max(rel_gap,
-    pres, dres).  ``reason`` names the stop that fired: ``optimal`` (every
-    tolerance met), ``bounded`` (the iterate's own certificate tr(C X) +
-    ||b - A vec X||_1 is below ``stop_below``; it is
-    :func:`certified_upper_bound` with X+ = X, as X factors at every
-    iterate), ``iteration_cap`` (200 iterates), ``stalled`` (80 iterates
-    with no new most balanced iterate, above the 71 of the longest such run
-    in an optimal solve of the test suite), ``schur_breakdown`` (the Schur
-    matrix would not factor) or ``diverged`` (the iterate or a direction is
-    not finite, or mu < 0).  ``optimal`` and ``bounded`` return the last
-    iterate, with ``status`` equal to ``reason``; every other stop returns
-    the most balanced iterate, recorded once more at the end of ``history``
-    when it is not the last, with ``status`` ``numerical_failure`` on a
-    Schur breakdown or on divergence when no iterate came within 1e-5, and
-    otherwise ``max_iterations``.  The test only reads the iterate, so a
-    solve that does not stop ``bounded`` runs the same iterates, bit for
-    bit, whatever ``stop_below``.
+    An iterate's certificate, kept in ``history``, is tr(C X) +
+    ||b - A vec X||_1: :func:`certified_upper_bound` with X+ = X, as X
+    factors at every iterate.  ``reason`` names the stop that fired:
+    ``optimal`` (every tolerance met), ``bounded`` (the certificate is below
+    ``stop_below``), ``iteration_cap`` (200 iterates), ``stalled`` (80
+    iterates with no new smallest certificate, above the 71 of the longest
+    such run in an optimal solve of the test suite), ``schur_breakdown``
+    (the Schur matrix would not factor) or ``diverged`` (the iterate or a
+    direction is not finite, or mu < 0); ``status`` follows from it.
+    ``optimal`` returns the last iterate; every other stop returns the one
+    with the smallest certificate, recorded once more at the end of
+    ``history`` when it is not the last (a ``bounded`` iterate is that one,
+    as no earlier certificate fell below ``stop_below``).  The test only
+    reads the iterate, so a solve that does not stop ``bounded`` runs the
+    same iterates, bit for bit, whatever ``stop_below``.
     """
     n = problem.n
     c_int = 0.5 * (problem.c + problem.c.T)
@@ -235,10 +237,7 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
     eye_m = np.eye(m)
 
     history: list[dict] = []
-    status, reason = MAX_ITERATIONS, ""
-    iterations = 0
-    best_worst, best_at = np.inf, 0
-    best_iterate = (x, y, s)
+    best_cert, best_at, best_iterate = np.inf, 0, (x, y, s)
 
     def record():
         pobj = float(np.sum(c_int * x))
@@ -248,6 +247,7 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
         pr = float(np.max(np.abs(rp))) / (1.0 + float(np.max(np.abs(b))))
         dr = float(np.max(np.abs(rd))) / (1.0 + float(np.max(np.abs(c_int))))
         mu = float(np.sum(x * s)) / n
+        cert = _certificate(pobj, rp)
         history.append(
             {
                 "primal_obj": pobj,
@@ -255,24 +255,24 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
                 "mu": mu,
                 "primal_residual": pr,
                 "dual_residual": dr,
+                "certificate": cert,
             }
         )
-        return pobj, dobj, rp, rd, pr, dr, mu
+        return pobj, dobj, rd, pr, dr, mu, cert
 
     for iterations in range(_MAX_ITER + 1):
-        pobj, dobj, rp, rd, pres, dres, mu = record()
+        pobj, dobj, rd, pres, dres, mu, cert = record()
         if not np.all(np.isfinite([pobj, dobj, mu, pres, dres])) or mu < 0:
             reason = "diverged"
             break
+        if cert < best_cert:  # never true of a certificate that is not finite
+            best_cert, best_at, best_iterate = cert, iterations, (x, y, s)
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        worst = max(rel_gap, pres, dres)
-        if worst < best_worst:
-            best_worst, best_at, best_iterate = worst, iterations, (x, y, s)
         if rel_gap <= _GAP_TOL and pres <= _FEAS_TOL and dres <= _FEAS_TOL:
-            status = reason = OPTIMAL
+            reason = OPTIMAL
             break
-        if _certificate(pobj, rp) < stop_below:
-            status = reason = BOUNDED
+        if cert < stop_below:
+            reason = BOUNDED
             break
         reason = ("iteration_cap" if iterations == _MAX_ITER
                   else "stalled" if iterations - best_at >= _STALL else "")
@@ -292,7 +292,7 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
         try:
             ell_b = np.linalg.cholesky(scaled + 1e-14 * eye_m)
         except np.linalg.LinAlgError:
-            status, reason = NUMERICAL_FAILURE, "schur_breakdown"
+            reason = "schur_breakdown"
             break
 
         a_sinv = amat @ s_inv.ravel()
@@ -340,10 +340,8 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
         alpha_d, s, ell_s = _step(s, ell_s, ds, alpha_d)
         y = y + alpha_d * dy
 
-    if reason == "diverged":
-        status = MAX_ITERATIONS if best_worst <= 1e-5 else NUMERICAL_FAILURE
-    if status not in (OPTIMAL, BOUNDED) and best_iterate[1] is not y:
-        # One exit for every failed solve: the most balanced iterate seen.
+    if reason != OPTIMAL and best_iterate[1] is not y:
+        # One exit for every other stop: the smallest certificate seen.
         # Only y is rebound at every step, so it names the iterate.
         x, y, s = best_iterate
         record()
@@ -355,7 +353,7 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
         primal_obj=final["primal_obj"],
         dual_obj=final["dual_obj"],
         gap=final["primal_obj"] - final["dual_obj"],
-        status=status,
+        status=_STATUS[reason],
         iterations=iterations,
         primal_residual=final["primal_residual"],
         dual_residual=final["dual_residual"],

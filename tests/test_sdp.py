@@ -265,8 +265,7 @@ class TestBoundedStop:
         assert len(sol.history) == sol.iterations + 1
         c_sym = 0.5 * (problem.c + problem.c.T)
         assert float(np.sum(c_sym * sol.x)) == sol.history[-1]["primal_obj"]
-        in_loop = sdp._certificate(sol.history[-1]["primal_obj"],
-                                   problem.b - problem.a @ sol.x.ravel())
+        in_loop = sol.history[-1]["certificate"]
         bound = certified_upper_bound(problem, sol)
         assert bound < threshold and in_loop < threshold
         assert abs(bound - in_loop) <= 1e-12 * (1.0 + abs(in_loop))
@@ -344,18 +343,11 @@ def failing_problems() -> dict:
     }
 
 
-def worst_measure(record: dict) -> float:
-    """max(rel_gap, pres, dres) of one history record, as the solver ranks
-    its iterates."""
-    pobj, dobj = record["primal_obj"], record["dual_obj"]
-    rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    return max(rel_gap, record["primal_residual"], record["dual_residual"])
-
-
 class TestFailurePaths:
     """Problems without an optimum, and a solve cut short by the iteration
-    cap.  Every stop but ``optimal`` returns the most balanced iterate
-    seen, recording it once more after the record of the stop."""
+    cap.  Every stop but ``optimal`` returns the iterate with the smallest
+    certificate seen, recording it once more after the record of the stop
+    when it is not the last."""
 
     @staticmethod
     def check_fallback(sol, iterations):
@@ -380,21 +372,22 @@ class TestFailurePaths:
         self.check_fallback(sol, 59)
 
     def test_stall_is_named(self):
-        # Its most balanced iterate is iterate 1, so it stops 80 iterates
+        # Its smallest certificate is at iterate 11, so it stops 80 iterates
         # later, under the same status as the cap, without overflowing.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sol = solve(failing_problems()["stalled"])
         assert sol.status == MAX_ITERATIONS and sol.reason == "stalled"
-        assert sol.iterations == 81 == 1 + sdp._STALL
+        assert sol.iterations == 91 == 11 + sdp._STALL
         assert len(sol.history) == sol.iterations + 2
-        assert sol.history[-1] == sol.history[1]
+        assert sol.history[-1] == sol.history[11]
 
     def test_stall_ends_a_real_grind(self, monkeypatch):
         # Criterion 8's second pure-state grid point for CHSH at level 2:
-        # one outcome solve stops stalled at iterate 92, and the certified
-        # value is that of running it to the 200-iterate cap, bit for bit.
-        # Two dominated outcomes stop bounded at iterate 8 either way.
+        # one outcome solve stops stalled at iterate 94, and the certified
+        # value is that of running it to the 200-iterate cap, bit for bit:
+        # both return iterate 14, the smallest certificate.  Two dominated
+        # outcomes stop bounded at iterate 8 either way.
         npa.tsirelson_bound(bell.chsh(), "2")  # cached, so only guessing solves follow
         solutions = []
 
@@ -404,10 +397,10 @@ class TestFailurePaths:
 
         monkeypatch.setattr(npa, "solve", logged)
         value = npa.max_guessing_probability(bell.chsh(), 2.0010270399220813, (0, 0), "2")
-        assert value == 0.9997428447130182
+        assert value == 0.9997427610799103
         assert len(solutions) == 4
         assert [(s.reason, s.iterations) for s in solutions if s.reason != OPTIMAL] == [
-            ("stalled", 92), ("bounded", 8), ("bounded", 8)
+            ("stalled", 94), ("bounded", 8), ("bounded", 8)
         ]
         monkeypatch.setattr(sdp, "_STALL", sdp._MAX_ITER + 1)
         solutions.clear()
@@ -416,9 +409,10 @@ class TestFailurePaths:
             "iteration_cap", "bounded", "bounded"
         ]
 
-    def test_schur_breakdown_is_named(self, monkeypatch):
-        # The Schur matrix (m = 3, n = 7) fails to factor at iterate 4,
-        # where the worst measure has risen: iterate 3 is returned.
+    @staticmethod
+    def breaking_schur(monkeypatch):
+        """A problem (m = 3, n = 7) whose fifth Schur factorization, at
+        iterate 4, fails, and the list the Schur matrices are logged to."""
         problem, _ = engineered_problem(np.random.default_rng(182))
         m = problem.a.shape[0]
         assert m != problem.n
@@ -432,21 +426,42 @@ class TestFailurePaths:
             return cholesky(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
+        return problem, schur_calls
+
+    def test_stall_spares_a_slow_optimal_solve(self):
+        # Just inside the endpoint window (chained3, level 2, pair (0,0),
+        # I = q - 1.01e-6), outcome (1,0)'s solve goes up to 71 iterates
+        # without a smaller certificate, fewer than the stall's 80, and
+        # reaches optimal at iterate 174.  A stall counted on the most
+        # balanced iterate cut it at 117, 2.06e-6 looser (0.033702969524).
+        expr = bell.chained(3)
+        moment_sdp = npa._moment_sdp(expr, "2", (0, 0))
+        problem, const = moment_sdp.at(
+            npa._prob_functional(moment_sdp.structure, expr, 0, 0, 1, 0),
+            npa.tsirelson_bound(expr, "2") - 1.01e-6)
+        sol = solve(problem)
+        assert (sol.status, sol.reason, sol.iterations) == (OPTIMAL, OPTIMAL, 174)
+        assert const + certified_upper_bound(problem, sol) == pytest.approx(
+            0.033700912445, abs=1e-12)
+
+    def test_schur_breakdown_is_named(self, monkeypatch):
+        # Iterate 4 is also the smallest certificate: it is returned as it is.
+        problem, schur_calls = self.breaking_schur(monkeypatch)
         sol = solve(problem)
         assert sol.status == NUMERICAL_FAILURE and sol.reason == "schur_breakdown"
         assert sol.iterations == 4 and len(schur_calls) == 5
-        *earlier, final = sol.history
-        assert len(earlier) == 5 and final == min(earlier, key=worst_measure) == earlier[3]
+        final = sol.history[-1]
+        assert len(sol.history) == 5 and final == min(sol.history, key=lambda r: r["certificate"])
         assert float(problem.b @ sol.y) == final["dual_obj"] == sol.dual_obj
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name", [*failing_problems(), "iteration_cap"])
-    def test_one_exit_returns_the_most_balanced_iterate(self, monkeypatch, name):
+    def test_one_exit_returns_the_smallest_certificate(self, monkeypatch, name):
         if name == "iteration_cap":
-            # At this seed the worst measure rises at iterate 4 (9.4e-2 to
-            # 9.5e-2), so a cap of 4 stops on an iterate worse than the one
-            # before it.
-            problem, _ = engineered_problem(np.random.default_rng(182))
+            # At this seed the certificate rises from -71.5 at iterate 0 to
+            # -8.3 at iterate 4, so a cap of 4 stops on an iterate worse
+            # than the start, which is returned.
+            problem, _ = engineered_problem(np.random.default_rng(190))
             monkeypatch.setattr(sdp, "_MAX_ITER", 4)
         else:
             problem = failing_problems()[name]
@@ -455,14 +470,43 @@ class TestFailurePaths:
             assert sol.reason == name and sol.iterations == 4
         *earlier, final = sol.history
         assert len(earlier) == sol.iterations + 1
-        # The solver ranks only iterates inside the cone.
-        ranked = [r for r in earlier if r["mu"] >= 0 and np.isfinite(worst_measure(r))]
-        assert final == min(ranked, key=worst_measure)
+        # The solver ranks only finite certificates, and no diverged iterate.
+        ranked = earlier[:-1] if sol.reason == "diverged" else earlier
+        ranked = [r for r in ranked if np.isfinite(r["certificate"])]
+        assert final == min(ranked, key=lambda r: r["certificate"])
+        if name == "iteration_cap":
+            assert final == earlier[0] != earlier[-1]
         c_sym = 0.5 * (problem.c + problem.c.T)
         assert float(np.sum(c_sym * sol.x)) == final["primal_obj"] == sol.primal_obj
         assert float(problem.b @ sol.y) == final["dual_obj"] == sol.dual_obj
-        assert sol.status in (MAX_ITERATIONS, NUMERICAL_FAILURE)
         assert sol.reason in {"iteration_cap", "stalled", "schur_breakdown", "diverged"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["gram", "bounded", *failing_problems(),
+                                      "iteration_cap", "schur_breakdown"])
+    def test_status_follows_from_reason(self, monkeypatch, name):
+        stop_below, expected = -np.inf, {
+            "gram": OPTIMAL, "bounded": BOUNDED, "stalled": "stalled",
+            "iteration_cap": "iteration_cap", "schur_breakdown": "schur_breakdown",
+        }.get(name, "diverged")
+        if name in ("gram", "bounded"):
+            problem = gram_problem()
+            if name == "bounded":
+                stop_below = -1.5  # above the optimum -2
+        elif name == "iteration_cap":
+            problem, _ = engineered_problem(np.random.default_rng(190))
+            monkeypatch.setattr(sdp, "_MAX_ITER", 4)
+        elif name == "schur_breakdown":
+            problem, _ = self.breaking_schur(monkeypatch)
+        else:
+            problem = failing_problems()[name]
+        sol = solve(problem, stop_below=stop_below)
+        assert sol.reason == expected
+        assert sol.status == {
+            OPTIMAL: OPTIMAL, BOUNDED: BOUNDED,
+            "iteration_cap": MAX_ITERATIONS, "stalled": MAX_ITERATIONS,
+            "schur_breakdown": NUMERICAL_FAILURE, "diverged": NUMERICAL_FAILURE,
+        }[sol.reason]
 
     def test_step_backtracks_to_1e_12(self, monkeypatch):
         # With a Cholesky that always fails, alpha halves from its start
