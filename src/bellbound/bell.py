@@ -307,7 +307,7 @@ def tightness_check(
     )
     aligned = not np.any(required & ~live) and not np.any(offsets > EPS_TIGHT)
 
-    gap = 4.0 * float(np.linalg.norm(t)) - abs(expectation(state, expr, strategy))
+    gap = tight_bound(state) - abs(expectation(state, expr, strategy))
     return TightnessReport(
         proportionality_ok=proportional,
         gram_sum=gram_sum,

@@ -9,8 +9,9 @@ summary printed as lines or, with --json, one object), and
 gram-demo (the 4x4 Gram-matrix SDP with its dual certificate).
 
 Numbers print with 6 decimals in human mode and 12 significant digits in
-CSV/JSON; the tight and Tsirelson bounds round up and the min-entropy
-down, so no printed figure claims more than its certificate gives.  Exit
+CSV/JSON, all through ``npa.round_toward``: the tight and Tsirelson bounds
+round up and the min-entropy down, so no printed figure claims more than
+its certificate gives.  Exit
 codes: 0 success, 2 configuration error, 3 numerical failure.  Grid
 sweeps compute one point at a time, in grid order, and stop at the first
 point that fails.  ``--config FILE`` supplies defaults from a JSON
@@ -52,14 +53,6 @@ _FAMILIES = {"pure": "pure-theta", "werner": "werner-p"}
 def _jnum(value: float) -> float:
     """``value`` rounded to the 12 significant digits JSON output carries."""
     return float(f"{float(value):.12g}")
-
-
-def _fixed6(value: float, up: bool) -> str:
-    """``value`` at 6 decimals, as text reading back >= value if ``up``, else <=."""
-    text = f"{value:.6f}"
-    if float(text) < value if up else float(text) > value:
-        text = f"{float(text) + (1e-6 if up else -1e-6):.6f}"
-    return text
 
 
 _CLAMP_SLACK = 1e-3  # absorbs decimal roundings like 0.7854 for pi/4
@@ -115,7 +108,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "tight_bound": float(npa.round_12(tight, up=True)),
+                    "tight_bound": float(npa.round_toward(tight, up=True)),
                     "singular_values": [_jnum(v) for v in sv],
                     "classical_bound": _jnum(cb),
                     "violated": bool(violated),
@@ -123,7 +116,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             )
         )
     else:
-        print(f"tight bound      {_fixed6(tight, up=True)}")
+        print(f"tight bound      {npa.round_toward(tight, up=True, places=6)}")
         print(f"singular values  {sv[0]:.6f} {sv[1]:.6f} {sv[2]:.6f}")
         print(f"classical bound  {cb:.6f}")
         print(f"violation        {'yes' if violated else 'no'}")
@@ -139,7 +132,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     payload = {
         "strategy": json.loads(strategy.to_json()),
         "expectation": _jnum(value),
-        "tight_bound": float(npa.round_12(tight, up=True)),
+        "tight_bound": float(npa.round_toward(tight, up=True)),
         "tightness": {
             "proportionality_ok": report.proportionality_ok,
             "gram_sum": _jnum(report.gram_sum),
@@ -153,7 +146,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     else:
         print(strategy.to_json())
         print(f"expectation      {value:.6f}")
-        print(f"tight bound      {_fixed6(tight, up=True)}")
+        print(f"tight bound      {npa.round_toward(tight, up=True, places=6)}")
         print(f"proportionality  {report.proportionality_ok}")
         print(f"gram sum         {report.gram_sum:.6f} (ok={report.gram_sum_ok})")
         print(f"alice aligned    {report.alice_aligned}")
@@ -170,9 +163,9 @@ def cmd_classical(args: argparse.Namespace) -> int:
 
 def cmd_tsirelson(args: argparse.Namespace) -> int:
     value = npa.tsirelson_bound(_resolve_expr(args.expr, args.n), args.level)
-    bound = {"tsirelson_bound": float(npa.round_12(value, up=True)), "level": args.level}
-    print(json.dumps(bound) if args.json
-          else f"tsirelson bound  {_fixed6(value, up=True)} (level {args.level})")
+    bound = {"tsirelson_bound": float(npa.round_toward(value, up=True)), "level": args.level}
+    human = f"tsirelson bound  {npa.round_toward(value, up=True, places=6)} (level {args.level})"
+    print(json.dumps(bound) if args.json else human)
     return EXIT_OK
 
 
@@ -267,12 +260,12 @@ def cmd_randomness(args: argparse.Namespace) -> int:
 
     best = max(range(len(points)), key=lambda i: points[i].min_entropy)
     summary = {
-        "max_entropy_bits": float(npa.round_12(points[best].min_entropy, up=False)),
+        "max_entropy_bits": float(npa.round_toward(points[best].min_entropy, up=False)),
         "argmax_param": _jnum(params[best]),
         "crossover": None,
     }
     if not args.json:
-        entropy = _fixed6(points[best].min_entropy, up=False)
+        entropy = npa.round_toward(points[best].min_entropy, up=False, places=6)
         print(f"max entropy      {entropy} bits at param {params[best]:.6f}")
     if args.compare:
         other, failure = _curve(args, family, _resolve_expr(args.compare, args.n), params)

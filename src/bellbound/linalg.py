@@ -59,8 +59,8 @@ def _dtrtrs():
     return dtrtrs
 
 
-def is_hermitian(m: np.ndarray, tol: float = EPS_HERM) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) <= EPS_HERM)
 
 
 def _upper_solve(u: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:

@@ -27,14 +27,17 @@ with the same optima.  Pairs that merge alike share one operator.
 
 Every value is read from the upper-bounding side through one certificate,
 :func:`~bellbound.sdp.certified_upper_bound`, whatever the solver status.
-A guessing probability is the largest of four outcome certificates, so
-each outcome solve after the first stops ``bounded`` as soon as its own
-iterate certifies a value below the largest so far, less a margin that
-scales with the problem.  A solve that does not stop runs as it would
-without the test, so the maximum is that of four full solves, bit for bit,
-wherever those would end within the margin of their optima.
-Within 1e-6 of the Tsirelson bound the guessing SDP is the Bell-free
-Lagrangian form max p(ab|xy) + lam (Bell - I) instead of the Bell equality.
+A guessing probability follows one rule: the max over the four outcomes of
+the min over a list of multipliers lam of the certified
+max p(ab|xy) + lam (Bell - I).  The list is [0] on the Bell-pinned form,
+where the lam term vanishes; within 1e-6 of the Tsirelson bound, where that
+form has no interior, it is 1e3 and 2e3 signed like I on the Bell-free
+form (the Lagrangian form).  Each outcome solve after the first stops
+``bounded`` as soon as its own iterate certifies a value below the largest
+so far, less a margin that scales with the problem.  A solve that does not
+stop runs as it would without the test, so the maximum is that of the full
+solves, bit for bit, wherever those would end within the margin of their
+optima.
 
 Observables are encoded as A = 2 P - I, so correlators expand as
 <A_x B_y> = 4 <P_x Q_y> - 2 <P_x> - 2 <Q_y> + 1, and outcome
@@ -393,14 +396,16 @@ def max_guessing_probability(
     level="2",
 ) -> float:
     """Certified upper bound on the largest p(ab|xy) over the relaxation at
-    Bell value I: the maximum over outcomes (a, b) of one Bell-pinned SDP
-    each, or, within 1e-6 of the relaxation's maximum |I|, of the smaller
-    Lagrangian bound over ``_ENDPOINT_LAMBDAS`` signed like I.  The pinned
-    SDPs run over the moment classes merged under the setting permutations
-    that fix (x, y) and the table (:func:`_merged_structure`), which leaves
-    their optima unchanged; the Lagrangian ones over the plain classes.
-    Every solve after the first outcome's stops once it certifies less than
-    the running maximum (:func:`_certified_value`): the maximum is kept."""
+    Bell value I: the max over outcomes (a, b) of the min over multipliers
+    lam of the certified max p(ab|xy) + lam (Bell - I).  Below the
+    relaxation's maximum |I| by more than 1e-6 the only lam is 0, on the
+    Bell-pinned form over the moment classes merged under the setting
+    permutations that fix (x, y) and the table (:func:`_merged_structure`),
+    which leaves its optima unchanged.  Nearer, the lams are
+    ``_ENDPOINT_LAMBDAS`` signed like I, on the Bell-free form over the
+    plain classes.  Every solve after the first outcome's stops once it
+    certifies less than the running maximum (:func:`_certified_value`):
+    the maximum is kept."""
     level = _normalize_level(level)
     _check_input_pair(expr, input_pair)
     x, y = input_pair
@@ -411,22 +416,19 @@ def max_guessing_probability(
             f"|I| = {abs(bell_value):.6f} exceeds the level-{level} bound {qmax:.6f}"
         )
 
-    endpoint = abs(bell_value) >= qmax - 1e-6
-    sdp = _moment_sdp(expr, level, None if endpoint else (x, y))
+    pinned = abs(bell_value) < qmax - 1e-6
+    sdp = _moment_sdp(expr, level, (x, y) if pinned else None)
+    lams = ([0.0] if pinned
+            else [math.copysign(lam, bell_value) for lam in _ENDPOINT_LAMBDAS])
     g, g_const = _bell_functional(sdp.structure, expr)
     best = -math.inf
-    for a in range(2):
-        for b in range(2):
-            h, h_const = _prob_functional(sdp.structure, expr, x, y, a, b)
-            if not endpoint:
-                best = max(best, _certified_value(*sdp.at((h, h_const), bell_value), best))
-                continue
-            bounds = []
-            for lam in _ENDPOINT_LAMBDAS:
-                lam = math.copysign(lam, bell_value)
-                problem, const = sdp.at((h + lam * g, h_const + lam * g_const))
-                bounds.append(_certified_value(problem, const - lam * bell_value, best))
-            best = max(best, min(bounds))
+    for a, b in itertools.product(range(2), repeat=2):
+        h, h_const = _prob_functional(sdp.structure, expr, x, y, a, b)
+        bounds = []
+        for lam in lams:
+            problem, const = sdp.at((h + lam * g, h_const + lam * g_const), bell_value)
+            bounds.append(_certified_value(problem, const - lam * bell_value, best))
+        best = max(best, min(bounds))
     return float(min(1.0, max(0.25, best)))
 
 
@@ -495,13 +497,15 @@ def entropy_crossover(params, curve_a, curve_b) -> float | None:
 CURVE_CSV_HEADER = "param,bell_value,guessing_probability,min_entropy_bits"
 
 
-def round_12(value: float, up: bool) -> str:
-    """``value`` at 12 significant digits, as text reading back >= value if ``up``, else <=."""
-    text = f"{value:.12g}"
+def round_toward(value: float, up: bool, places: int | None = None) -> str:
+    """``value`` at 12 significant digits, or at ``places`` decimals if given,
+    as text reading back >= value if ``up``, else <=."""
+    spec = ".12g" if places is None else f".{places}f"
+    text = format(value, spec)
     if float(text) < value if up else float(text) > value:
-        # Rounded the wrong way: step one unit of the 12th significant digit.
-        unit = 10.0 ** (math.floor(math.log10(value)) - 11)
-        text = f"{float(text) + (unit if up else -unit):.12g}"
+        # Rounded the wrong way: step one unit of the last printed digit.
+        unit = 10.0 ** (math.floor(math.log10(value)) - 11 if places is None else -places)
+        text = format(float(text) + (unit if up else -unit), spec)
     return text
 
 
@@ -512,7 +516,7 @@ def curve_csv(params, points) -> str:
     more randomness than the certificate gives; the rest round to nearest."""
     lines = [CURVE_CSV_HEADER]
     for param, pt in zip(params, points):
-        prob = round_12(pt.guessing_probability, up=True)
-        entropy = round_12(RandomnessPoint(pt.bell_value, float(prob)).min_entropy, up=False)
+        prob = round_toward(pt.guessing_probability, up=True)
+        entropy = round_toward(RandomnessPoint(pt.bell_value, float(prob)).min_entropy, up=False)
         lines.append(f"{float(param):.12g},{pt.bell_value:.12g},{prob},{entropy}")
     return "\n".join(lines) + "\n"

@@ -542,6 +542,23 @@ class TestBehavior:
         with pytest.raises(OutOfRange):
             bell.Behavior(table=np.full((1, 1, 2, 2), np.nan))
 
+    def test_rejects_negative_probability(self):
+        with pytest.raises(ValueError, match="negative probability"):
+            bell.Behavior(table=[[[[0.6, 0.5], [-0.1, 0.0]]]])
+
+    def test_rejects_unnormalized_table(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            bell.Behavior(table=[[[[0.3, 0.3], [0.3, 0.3]]]])
+
+    def test_rejects_signaling_table(self):
+        # Alice's (Bob's) marginal is uniform at one input of the other
+        # party and deterministic at the other.
+        uniform, fixed = [[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="from Bob's input"):
+            bell.Behavior(table=[[uniform, fixed]])
+        with pytest.raises(ValueError, match="from Alice's input"):
+            bell.Behavior(table=[[uniform], [fixed]])
+
     def test_accepts_nested_lists(self):
         behavior = bell.Behavior(table=[[[[0.25, 0.25], [0.25, 0.25]]]])
         assert behavior.table.dtype == np.float64
@@ -614,6 +631,8 @@ class TestViolationThreshold:
         assert abs(max_violation(state, ebi()) - 2 * ROOT3) < 1e-12
         with pytest.raises(OutOfRange):
             family_state("bogus", 0.1)
+        with pytest.raises(OutOfRange, match="unknown family 'bogus'"):
+            family_domain("bogus")
 
 
 class TestMaxViolation:

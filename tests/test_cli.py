@@ -48,6 +48,16 @@ class TestBound:
         assert "4.000000" in out
         assert "violation        no" in out
 
+    def test_family_state_needs_its_parameter(self, capsys):
+        code, out, err = run(capsys, "bound", "--state", "pure")
+        assert code == 2 and out == ""
+        assert "--state pure requires --theta" in err
+
+    def test_parameter_just_below_the_domain_snaps_to_its_end(self, capsys):
+        snapped = run(capsys, "bound", "--state", "werner", "--p", "-0.0005", "--json")
+        assert snapped == run(capsys, "bound", "--state", "werner", "--p", "0", "--json")
+        assert snapped[0] == 0 and json.loads(snapped[1])["tight_bound"] == 0.0
+
     def test_bad_theta_exits_2(self, capsys):
         code, _, err = run(capsys, "bound", "--state", "pure", "--theta", "2.0")
         assert code == 2
@@ -287,6 +297,16 @@ class TestRandomness:
         assert out_file.read_text().strip().endswith("# truncated")
         assert "solver failure" in err
 
+    def test_stdout_carries_the_out_file_csv(self, capsys, tmp_path):
+        args = ["randomness", "--family", "werner", "--expr", "chsh",
+                "--grid", "0.95:1:2", "--level", "1", "--json"]
+        path = tmp_path / "curve.csv"
+        code, summary, _ = run(capsys, *args, "--out", str(path))
+        assert code == 0 and summary.startswith("{")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == path.read_text() + summary
+
     def test_grid_outside_domain_exits_2(self, capsys, monkeypatch):
         code, _, err = run(
             capsys,
@@ -484,6 +504,13 @@ class TestConfigFile:
         assert code == 0
         assert abs(json.loads(out)["tight_bound"] - 4 * np.sqrt(3)) < 1e-9
 
+    def test_config_list_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([{"state": "singlet"}]))
+        code, out, err = run(capsys, "--config", str(config), "bound", "--state", "singlet")
+        assert code == 2 and out == ""
+        assert "must hold a JSON object" in err
+
     def test_missing_config_exits_2(self, capsys):
         code, _, _ = run(capsys, "--config", "/nonexistent.json", "gram-demo")
         assert code == 2
@@ -514,6 +541,15 @@ class TestArgumentErrors:
             cli.main(["randomness", "--family", "werner", "--expr", "chsh",
                       "--grid", "oops"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", [["--grid", "0:1:1"], ["--pair", "1"]],
+                             ids=["one-step-grid", "one-number-pair"])
+    def test_malformed_sweep_option(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["randomness", "--family", "werner", "--expr", "chsh",
+                      "--grid", "0:1:3", *option])
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,flag", [
         (["bound"], "--state or --state-file"),

@@ -1,7 +1,7 @@
 import itertools
 import math
 import time
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -146,6 +146,13 @@ class TestMomentStructure:
         assert len(guess.constraints) == ms.class_count - 2
         for problem in (tsirelson, guess):
             assert len(problem.constraints) <= budget
+
+    def test_rejects_bell_functional_without_moments(self):
+        ms = build_moment_structure(2, 2, 1)
+        bell = npa._bell_functional(ms, scenario(2, 2))
+        assert not np.any(bell[0])
+        with pytest.raises(ValueError, match="no moment dependence"):
+            npa._reduced_sdp(ms, bell)
 
     @pytest.mark.parametrize("level", npa.LEVELS)
     @pytest.mark.parametrize("name", list(EXPRESSIONS))
@@ -637,6 +644,39 @@ def assert_rounded_down(text: str, value: float):
     12th significant digit."""
     assert float(text) <= value
     assert Decimal(value) - Decimal(text) < Decimal(1).scaleb(Decimal(value).adjusted() - 11)
+
+
+class TestRoundToward:
+    @staticmethod
+    def values():
+        rng = np.random.default_rng(27)
+        values = [float(v) for v in rng.uniform(0.0, 8.0, size=2000)]
+        values += [float(v) for v in 10.0 ** rng.uniform(-6.0, 1.0, size=500)]
+        # Printed digits on both sides of each value, and decade edges.
+        for edge in (0.25, 0.5, 1.0, 0.999999999999, 9.99999999999, 1.234567,
+                     4 * ROOT3, 2 * ROOT2, 3 * ROOT3):
+            values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 10.0)]
+        return values
+
+    @pytest.mark.parametrize("places", [None, 6], ids=["12g", "6f"])
+    def test_text_is_on_the_safe_side_and_no_closer_text_is(self, places):
+        # One unit of the last printed digit toward the value crosses it.
+        context = Context(prec=12)
+        for value in self.values():
+            for up in (True, False):
+                text = npa.round_toward(value, up, places)
+                printed = Decimal(text)
+                if places is None:
+                    assert len(printed.normalize().as_tuple().digits) <= 12
+                    closer = (printed.next_minus(context) if up
+                              else printed.next_plus(context))
+                else:
+                    assert text == f"{float(text):.{places}f}"
+                    closer = printed - Decimal(1).scaleb(-places) * (1 if up else -1)
+                if up:
+                    assert float(text) >= value and float(closer) < value
+                else:
+                    assert float(text) <= value and float(closer) > value
 
 
 class TestCurveCsv:

@@ -67,6 +67,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             SdpProblem(n=2, c=np.eye(2), a=operator([a]), b=[1.0])
 
+    def test_rejects_objective_of_wrong_shape(self):
+        for c in (np.eye(3), np.ones(4), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="objective matrix shape"):
+                SdpProblem(n=2, c=c, a=operator([np.eye(2)]), b=[1.0])
+
     def test_rejects_too_many_constraints(self):
         with pytest.raises(ValueError):
             SdpProblem(n=2, c=np.eye(2), a=operator([np.eye(2)] * 4), b=np.ones(4))

@@ -207,6 +207,14 @@ class TestValidation:
         state = singlet()
         with pytest.raises((ValueError, AttributeError)):
             state.rho[0, 0] = 2.0
+        for name in ("rho", "label"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(state, name, np.eye(4) / 4)
+        assert np.array_equal(state.rho, singlet().rho)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+            TwoQubitState(np.eye(2) / 2)
 
 
 class TestJson:
