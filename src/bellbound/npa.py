@@ -35,9 +35,16 @@ form has no interior, it is 1e3 and 2e3 signed like I on the Bell-free
 form (the Lagrangian form).  Each outcome solve after the first stops
 ``bounded`` as soon as its own iterate certifies a value below the largest
 so far, less a margin that scales with the problem.  A solve that does not
-stop runs as it would without the test, so the maximum is that of the full
-solves, bit for bit, wherever those would end within the margin of their
-optima.
+stop runs as it would without the test.
+
+The outcomes run in the order (0, 0), (1, 1), (0, 1), (1, 0).  A Bell
+expression has no single-party terms, so the flip P -> 1 - P, Q -> 1 - Q
+maps each relaxation onto that of the outcome after it
+(:func:`_flip_map`).  On the Bell-pinned form the second and fourth
+solves are first offered the image of the previous outcome's iterate, and
+keep it at iterate 0 only if it meets their own ``optimal`` or ``bounded``
+stop; otherwise they run from the default start, bit for bit.  Every value
+is still the certificate of its own outcome's problem.
 
 Observables are encoded as A = 2 P - I, so correlators expand as
 <A_x B_y> = 4 <P_x Q_y> - 2 <P_x> - 2 <Q_y> + 1, and outcome
@@ -263,12 +270,17 @@ class _ReducedSdp:
     once, with zero targets b and the identity-class indicator as C.  With
     ``bell`` = (g, g_const) the Bell value is pinned through the eliminated
     class ``beta``, whose indicator is ``f0_step``.  :meth:`at` makes the
-    problem of one objective by setting only b, F0 and the constant."""
+    problem of one objective by setting only b, F0 and the constant.
+    ``flip`` is the outcome-flip map of the word basis
+    (:func:`_flip_map`) and ``reads`` the flat index of one entry of each
+    free class; :meth:`mirror` uses both."""
 
     structure: MomentStructure
     problem: SdpProblem
     identity: int
     free: np.ndarray
+    flip: np.ndarray
+    reads: np.ndarray
     bell: tuple | None = None
     beta: int = 0
     f0_step: np.ndarray | None = None
@@ -286,6 +298,35 @@ class _ReducedSdp:
             w = w - h[self.beta] * g[self.free] / g[self.beta]
             const = const + h[self.beta] * t
         return self.problem.with_objective(c, w), const
+
+    def mirror(self, solution):
+        """The image (X, y, S) of ``solution``'s iterate under the outcome
+        flip: S -> W S W^T maps a moment matrix to that of the flipped
+        outcomes, X -> W^T X W keeps tr(S X) (W is an involution), and y is
+        read from the image of S.  A start for the flipped outcome's problem,
+        which :func:`~bellbound.sdp.solve` rejects if it does not fit."""
+        w = self.flip
+        s = w @ solution.s @ w.T
+        return w.T @ solution.x @ w, s.ravel()[self.reads], s
+
+
+def _flip_map(monomials) -> np.ndarray:
+    """The integer matrix W with W[i, j] = (-1)^|u_j| for every sub-word u_j
+    of word w_i, else 0: with P -> 1 - P and Q -> 1 - Q for every projector,
+    word w_i becomes sum_j W[i, j] w_j.  A second flip undoes the first, so
+    W W = I.  A ``BellExpression`` has no single-party terms, so the flip
+    keeps the Bell value and swaps p(ab|xy) with p(1-a, 1-b|xy)."""
+    index = {m: i for i, m in enumerate(monomials)}
+
+    def subwords(word):
+        return itertools.chain.from_iterable(
+            itertools.combinations(word, r) for r in range(len(word) + 1))
+
+    flip = np.zeros((len(monomials),) * 2, dtype=np.int64)
+    for i, m in enumerate(monomials):
+        for alice, bob in itertools.product(subwords(m.alice), subwords(m.bob)):
+            flip[i, index[Monomial(alice, bob)]] = (-1) ** (len(alice) + len(bob))
+    return flip
 
 
 def _reduced_sdp(ms: MomentStructure, bell=None) -> _ReducedSdp:
@@ -331,7 +372,9 @@ def _reduced_sdp(ms: MomentStructure, bell=None) -> _ReducedSdp:
                         shape=(ms.class_count, ec.size))
     a = sp.csr_matrix(ratio[free, None]) @ ind[[beta]] - ind[free]
     problem = SdpProblem(n=ms.size, c=(ec == identity) * 1.0, a=a, b=np.zeros(free.size))
-    return _ReducedSdp(structure=ms, problem=problem, identity=identity, free=free, **pinned)
+    reads = np.unique(ec, return_index=True)[1][free]
+    return _ReducedSdp(structure=ms, problem=problem, identity=identity, free=free,
+                       flip=_flip_map(ms.monomials), reads=reads, **pinned)
 
 
 _sdp_cache: dict = {}
@@ -354,18 +397,23 @@ def _moment_sdp(expr: BellExpression, level: str, input_pair=None) -> _ReducedSd
     return sdp
 
 
-def _certified_value(problem: SdpProblem, const: float, beat: float = -math.inf) -> float:
-    """``const`` plus the certified upper bound of one solve of ``problem``.
+def _certified_value(problem: SdpProblem, const: float, beat: float = -math.inf,
+                     start=None):
+    """``const`` plus the certified upper bound of one solve of ``problem``,
+    and the solution it was read from.
 
     The solve stops ``bounded`` once its iterate certifies a value below
     ``beat`` by 1e-6 (1 + |beat - const|), a margin in the problem's own
     units: the Lagrangian endpoint problems sit near 1e3, where a 1e-8
     relative gap is about 1e-5.  Run to the end, an optimal solve would
     certify within its gap of the optimum, which no certificate undercuts,
-    so still less than ``beat``: max(beat, value) is unchanged."""
+    so still less than ``beat``: max(beat, value) is unchanged.  ``start``
+    (a mirrored iterate) is tried first; the value is the certificate of
+    whichever iterate the solve returns, so it bounds ``problem`` either
+    way."""
     t = beat - const
-    solution = solve(problem, stop_below=t - 1e-6 * (1.0 + abs(t)))
-    return float(const + certified_upper_bound(problem, solution))
+    solution = solve(problem, stop_below=t - 1e-6 * (1.0 + abs(t)), start=start)
+    return float(const + certified_upper_bound(problem, solution)), solution
 
 
 _tsirelson_cache: dict = {}
@@ -378,7 +426,7 @@ def tsirelson_bound(expr: BellExpression, level) -> float:
     if key in _tsirelson_cache:
         return _tsirelson_cache[key]
     sdp = _moment_sdp(expr, level)
-    value = _certified_value(*sdp.at(_bell_functional(sdp.structure, expr)))
+    value, _ = _certified_value(*sdp.at(_bell_functional(sdp.structure, expr)))
     _tsirelson_cache[key] = value
     return value
 
@@ -405,7 +453,16 @@ def max_guessing_probability(
     ``_ENDPOINT_LAMBDAS`` signed like I, on the Bell-free form over the
     plain classes.  Every solve after the first outcome's stops once it
     certifies less than the running maximum (:func:`_certified_value`):
-    the maximum is kept."""
+    the maximum is kept.
+
+    The outcomes run in the order (0, 0), (1, 1), (0, 1), (1, 0), each
+    followed by its mirror under the outcome flip (:func:`_flip_map`).  On
+    the pinned form the mirror's solve starts from the image of its
+    partner's returned iterate (:meth:`_ReducedSdp.mirror`), which it
+    accepts at iterate 0 only if that image meets its own stops; on the
+    Lagrangian form lam ~ 1e3 scales the image's residual, so those solves
+    start from the default.  Each value is the certificate of its own
+    outcome's problem: none relies on the symmetry."""
     level = _normalize_level(level)
     _check_input_pair(expr, input_pair)
     x, y = input_pair
@@ -421,13 +478,16 @@ def max_guessing_probability(
     lams = ([0.0] if pinned
             else [math.copysign(lam, bell_value) for lam in _ENDPOINT_LAMBDAS])
     g, g_const = _bell_functional(sdp.structure, expr)
-    best = -math.inf
-    for a, b in itertools.product(range(2), repeat=2):
+    best, start = -math.inf, None
+    for k, (a, b) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0))):
         h, h_const = _prob_functional(sdp.structure, expr, x, y, a, b)
         bounds = []
         for lam in lams:
             problem, const = sdp.at((h + lam * g, h_const + lam * g_const), bell_value)
-            bounds.append(_certified_value(problem, const - lam * bell_value, best))
+            value, solution = _certified_value(problem, const - lam * bell_value, best, start)
+            bounds.append(value)
+        # An outcome at an even position hands its mirror, next, its image.
+        start = sdp.mirror(solution) if pinned and k % 2 == 0 else None
         best = max(best, min(bounds))
     return float(min(1.0, max(0.25, best)))
 

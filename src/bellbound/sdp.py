@@ -203,7 +203,7 @@ def _step(m: np.ndarray, ell: np.ndarray, dm: np.ndarray, alpha: float):
     return 0.0, m, ell
 
 
-def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
+def solve(problem: SdpProblem, stop_below: float = -np.inf, start=None) -> SdpSolution:
     """Run the interior-point iteration to the 1e-8 relative tolerances, or
     until an iterate certifies a value below ``stop_below``.
 
@@ -222,22 +222,20 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
     as no earlier certificate fell below ``stop_below``).  The test only
     reads the iterate, so a solve that does not stop ``bounded`` runs the
     same iterates, bit for bit, whatever ``stop_below``.
+
+    ``start`` = (X, y, S), shaped (n, n), (m,) and (n, n) or a ValueError,
+    is tested as iterate 0 against the same stops.  If it stops the solve
+    ``optimal`` or ``bounded`` it is returned with ``iterations`` 0.
+    Otherwise, or if it is not finite or X or S does not factor, it is
+    discarded and the solve runs from its own start, bit for bit as without
+    ``start``.
     """
     n = problem.n
     c_int = 0.5 * (problem.c + problem.c.T)
     amat, b = problem.a, problem.b
     amat_t = amat.T
     m = amat.shape[0]
-
-    tau = max(1.0, float(np.linalg.norm(c_int)), float(np.max(np.abs(b))))
-    x = s = tau * np.eye(n)
-    ell_x = ell_s = np.linalg.cholesky(x)
-    y = np.zeros(m)
-    eye = np.eye(n)
-    eye_m = np.eye(m)
-
     history: list[dict] = []
-    best_cert, best_at, best_iterate = np.inf, 0, (x, y, s)
 
     def record():
         pobj = float(np.sum(c_int * x))
@@ -258,24 +256,55 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
                 "certificate": cert,
             }
         )
-        return pobj, dobj, rd, pr, dr, mu, cert
+        return rd, mu, cert
+
+    def own_stop():
+        """The stop the last recorded iterate fires by itself: ``diverged``,
+        ``optimal``, ``bounded`` or none ('')."""
+        last = history[-1]
+        pobj, dobj, pres, dres, mu = (last[k] for k in (
+            "primal_obj", "dual_obj", "primal_residual", "dual_residual", "mu"))
+        if not np.all(np.isfinite([pobj, dobj, mu, pres, dres])) or mu < 0:
+            return "diverged"
+        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        if rel_gap <= _GAP_TOL and pres <= _FEAS_TOL and dres <= _FEAS_TOL:
+            return OPTIMAL
+        return BOUNDED if last["certificate"] < stop_below else ""
+
+    if start is not None:
+        x, y, s = (np.asarray(v, dtype=float) for v in start)
+        if x.shape != (n, n) or s.shape != (n, n) or y.shape != (m,):
+            raise ValueError(f"start must be shaped ({n}, {n}), ({m},), ({n}, {n})")
+        reason = ""
+        if all(np.isfinite(v).all() for v in (x, y, s)):
+            try:
+                np.linalg.cholesky(x), np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                record()
+                reason = own_stop()
+        if reason in (OPTIMAL, BOUNDED):
+            return _solution(x, y, s, history, 0, reason)
+        history.clear()
+
+    tau = max(1.0, float(np.linalg.norm(c_int)), float(np.max(np.abs(b))))
+    x = s = tau * np.eye(n)
+    ell_x = ell_s = np.linalg.cholesky(x)
+    y = np.zeros(m)
+    eye = np.eye(n)
+    eye_m = np.eye(m)
+    best_cert, best_at, best_iterate = np.inf, 0, (x, y, s)
 
     for iterations in range(_MAX_ITER + 1):
-        pobj, dobj, rd, pres, dres, mu, cert = record()
-        if not np.all(np.isfinite([pobj, dobj, mu, pres, dres])) or mu < 0:
-            reason = "diverged"
+        rd, mu, cert = record()
+        reason = own_stop()
+        if reason == "diverged":
             break
         if cert < best_cert:  # never true of a certificate that is not finite
             best_cert, best_at, best_iterate = cert, iterations, (x, y, s)
-        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if rel_gap <= _GAP_TOL and pres <= _FEAS_TOL and dres <= _FEAS_TOL:
-            reason = OPTIMAL
-            break
-        if cert < stop_below:
-            reason = BOUNDED
-            break
-        reason = ("iteration_cap" if iterations == _MAX_ITER
-                  else "stalled" if iterations - best_at >= _STALL else "")
+        reason = reason or ("iteration_cap" if iterations == _MAX_ITER
+                            else "stalled" if iterations - best_at >= _STALL else "")
         if reason:
             break
 
@@ -345,6 +374,12 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf) -> SdpSolution:
         # Only y is rebound at every step, so it names the iterate.
         x, y, s = best_iterate
         record()
+    return _solution(x, y, s, history, iterations, reason)
+
+
+def _solution(x, y, s, history: list, iterations: int, reason: str) -> SdpSolution:
+    """The solution holding iterate (x, y, s), read from its record, the last
+    in ``history``."""
     final = history[-1]
     return SdpSolution(
         x=x,

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 from decimal import Context, Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -358,6 +359,63 @@ class TestSettingSymmetry:
                         assert abs(bounds[0] - bounds[1]) <= 1e-7
 
 
+class TestOutcomeFlip:
+    """The flip P -> 1 - P, Q -> 1 - Q of every projector, as the map W of
+    each reduced SDP's word basis."""
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    @pytest.mark.parametrize("level", npa.LEVELS)
+    @pytest.mark.parametrize("name", ["ebi", "chsh", "chained3"])
+    def test_flip_map(self, name, level, pinned):
+        # The free form's structure is the plain one; the pinned form's is
+        # merged for pair (0, 0), where ebi merges and chsh and chained3
+        # merge nothing.
+        expr = EXPRESSIONS[name]
+        sdp = npa._moment_sdp(expr, level, (0, 0) if pinned else None)
+        ms, w = sdp.structure, sdp.flip
+        assert w.dtype.kind == "i" and np.array_equal(w @ w, np.eye(ms.size))
+        first = np.unique(ms.entry_class, return_index=True)[1]
+        g, g_const = npa._bell_functional(ms, expr)
+        k, l = expr.coeffs.shape
+        rng = np.random.default_rng(28)
+        for _ in range(3):
+            z = rng.normal(size=ms.class_count)
+            z[sdp.identity] = 1.0
+            image = w @ z[ms.entry_class] @ w.T
+            flipped = image.ravel()[first]
+            assert np.max(np.abs(image - flipped[ms.entry_class])) <= 1e-12
+            assert abs(g @ flipped - g @ z) <= 1e-12
+            for x, y, a, b in itertools.product(range(k), range(l), range(2), range(2)):
+                h, h_const = npa._prob_functional(ms, expr, x, y, a, b)
+                hm, hm_const = npa._prob_functional(ms, expr, x, y, 1 - a, 1 - b)
+                assert abs(h @ flipped + h_const - (hm @ z + hm_const)) <= 1e-12
+
+    @pytest.mark.parametrize("level", npa.LEVELS)
+    @pytest.mark.parametrize("name", ["ebi", "chsh", "chained3"])
+    def test_mirror_maps_iterates_across_outcomes(self, name, level):
+        # A dual point S = C - sum_i y_i A_i of outcome (0, 0)'s problem maps
+        # to one of (1, 1)'s with the same objective, tr(S X) is kept, and
+        # mirroring twice gives the iterate back.
+        expr = EXPRESSIONS[name]
+        sdp = npa._moment_sdp(expr, level, (0, 0))
+        value = classical_bound(expr)
+        ms, problem = sdp.structure, sdp.problem
+        (own, const), (other, other_const) = (
+            sdp.at(npa._prob_functional(ms, expr, 0, 0, a, a), value) for a in (0, 1))
+        n, amat = problem.n, problem.a
+        rng = np.random.default_rng(29)
+        y = rng.normal(size=amat.shape[0])
+        root = rng.normal(size=(n, n))
+        it = SimpleNamespace(x=root @ root.T, s=own.c - (amat.T @ y).reshape(n, n))
+        x, ym, s = sdp.mirror(it)
+        assert np.max(np.abs(other.c - s - (amat.T @ ym).reshape(n, n))) <= 1e-12
+        assert abs(own.b @ y + const - (other.b @ ym + other_const)) <= 1e-12
+        assert abs(np.sum(x * s) - np.sum(it.x * it.s)) <= 1e-12 * np.sum(np.abs(it.x))
+        back = sdp.mirror(SimpleNamespace(x=x, s=s))
+        assert np.allclose(back[0], it.x, rtol=0, atol=1e-12 * np.max(np.abs(it.x)))
+        assert np.allclose(back[1], y, rtol=0, atol=1e-12)
+
+
 class TestTsirelsonBound:
     def test_level_one_values(self):
         assert abs(tsirelson_bound(ebi(), 1) - 4 * ROOT3) <= 1e-5
@@ -488,8 +546,32 @@ class TestGuessingProbability:
         monkeypatch.setattr(npa, "solve", logged)
         values = [max_guessing_probability(*case) for case in cases]
         assert reasons.count("bounded") >= len(cases)
-        monkeypatch.setattr(npa, "solve", lambda problem, **kwargs: solve(problem))
+        # Only the threshold is dropped: the mirrored starts stay.
+        monkeypatch.setattr(npa, "solve",
+                            lambda problem, stop_below, **kwargs: solve(problem, **kwargs))
         assert values == [max_guessing_probability(*case) for case in cases]
+
+    @pytest.mark.parametrize("p,mirrored", [(0.95, [1, 3]), (0.98, [3])])
+    def test_mirror_solves_start_from_their_partners(self, monkeypatch, p, mirrored):
+        # The outcomes run (0, 0), (1, 1), (0, 1), (1, 0), and the second and
+        # fourth start from the image of the one before.  At p = 0.98 the
+        # image of (0, 0)'s iterate keeps its gap but misses (1, 1)'s
+        # relative-gap tolerance (1.03e-8), since that problem's objective,
+        # p - 1, is smaller in magnitude; that solve runs from the default.
+        expr = ebi()
+        value = max_violation(family_state("werner-p", p), expr)
+        tsirelson_bound(expr, "2")
+        solves = []
+
+        def logged(problem, **kwargs):
+            sol = solve(problem, **kwargs)
+            solves.append((kwargs["start"] is not None, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(npa, "solve", logged)
+        max_guessing_probability(expr, value, (0, 0), "2")
+        assert [started for started, _ in solves] == [False, True, False, True]
+        assert all(solves[k][1] == 0 for k in mirrored)
 
     def test_all_input_pairs_agree_at_maximum(self):
         # The maximal-violation behavior is setting-symmetric.
@@ -505,7 +587,7 @@ class TestGuessingProbability:
 class TestGuessProblemReuse:
     @pytest.mark.parametrize("level", ["1+AB", "2"])
     @pytest.mark.parametrize("expr", [ebi(), chsh()], ids=["ebi", "chsh"])
-    def test_reused_problem_matches_fresh_build(self, expr, level):
+    def test_reused_problem_matches_fresh_build(self, expr, level, monkeypatch):
         # The fresh problem is built on the merged structure that
         # max_guessing_probability solves over.
         ms = npa._merged_structure(expr, level, (0, 0))
@@ -515,7 +597,6 @@ class TestGuessProblemReuse:
         reused = npa._moment_sdp(expr, level, (0, 0))
         assert reused.structure is ms
         for value in values + values[-2::-1]:  # up, then back down
-            best = 0.0
             for a in range(2):
                 for b in range(2):
                     prob = npa._prob_functional(ms, expr, 0, 0, a, b)
@@ -525,11 +606,12 @@ class TestGuessProblemReuse:
                     assert np.array_equal(problem.c, fresh.c)
                     assert np.array_equal(problem.b, fresh.b)
                     assert const == fresh_const
-                    best = max(
-                        best, fresh_const + certified_upper_bound(fresh, solve(fresh))
-                    )
             reused_value = max_guessing_probability(expr, value, (0, 0), level)
-            assert abs(reused_value - min(1.0, max(0.25, best))) <= 1e-12
+            with monkeypatch.context() as patch:
+                patch.setattr(npa, "_sdp_cache", {})
+                fresh_value = max_guessing_probability(expr, value, (0, 0), level)
+                assert npa._moment_sdp(expr, level, (0, 0)) is not reused
+            assert reused_value == fresh_value
 
     def test_one_operator_per_form(self, monkeypatch):
         # Input pairs, outcomes, Bell values and multipliers set only b, F0

@@ -248,16 +248,17 @@ class TestCertifiedUpperBound:
             certified_upper_bound(gram_problem(), sol)
 
 
+@pytest.fixture(scope="module", params=["gram", "ebi_eq"])
+def problem(request):
+    if request.param == "gram":
+        return gram_problem()
+    return ebi_guess_problem(0.9 * npa.tsirelson_bound(bell.ebi(), "2"))
+
+
 class TestBoundedStop:
     """``stop_below`` ends a solve at the first iterate whose own
     certificate is below it, and changes nothing about a solve it does
     not stop."""
-
-    @pytest.fixture(scope="class", params=["gram", "ebi_eq"])
-    def problem(self, request):
-        if request.param == "gram":
-            return gram_problem()
-        return ebi_guess_problem(0.9 * npa.tsirelson_bound(bell.ebi(), "2"))
 
     def test_threshold_above_the_optimum_stops_bounded(self, problem):
         full = solve(problem)
@@ -285,6 +286,60 @@ class TestBoundedStop:
         assert sol.history == full.history
         for got, want in ((sol.x, full.x), (sol.y, full.y), (sol.s, full.s)):
             assert np.array_equal(got, want)
+
+
+def same_solution(sol, other) -> bool:
+    """Bit for bit: the iterate, the history and the stop."""
+    return (all(np.array_equal(getattr(sol, f), getattr(other, f)) for f in "xys")
+            and sol.history == other.history
+            and (sol.status, sol.reason, sol.iterations)
+            == (other.status, other.reason, other.iterations))
+
+
+class TestStart:
+    """``start`` is tested as iterate 0 against the solve's own stops: it is
+    returned if ``optimal`` or ``bounded`` fires there, else dropped."""
+
+    def test_optimal_start_returns_at_iterate_0(self, problem):
+        full = solve(problem)
+        assert full.reason == OPTIMAL
+        sol = solve(problem, start=(full.x, full.y, full.s))
+        assert (sol.status, sol.reason, sol.iterations) == (OPTIMAL, OPTIMAL, 0)
+        assert sol.x is full.x and sol.y is full.y and sol.s is full.s
+        assert sol.history == [full.history[-1]]
+
+    def test_bounded_start_returns_at_iterate_0(self, problem):
+        optimum = certified_upper_bound(problem, solve(problem))
+        threshold = optimum + 0.01 * (1.0 + abs(optimum))
+        early = solve(problem, stop_below=threshold)
+        assert early.reason == BOUNDED and early.iterations > 0
+        sol = solve(problem, stop_below=threshold, start=(early.x, early.y, early.s))
+        assert (sol.status, sol.reason, sol.iterations) == (BOUNDED, BOUNDED, 0)
+        assert sol.x is early.x and sol.y is early.y and sol.s is early.s
+        assert sol.history == [early.history[-1]]
+
+    def test_rejected_start_changes_nothing(self, problem):
+        # An early iterate stops nothing without its threshold; the others
+        # do not factor or are not finite.
+        optimum = certified_upper_bound(problem, solve(problem))
+        early = solve(problem, stop_below=optimum + 0.01 * (1.0 + abs(optimum)))
+        n, m = problem.n, problem.b.size
+        eye, y = np.eye(n), np.zeros(m)
+        starts = [(early.x, early.y, early.s), (np.zeros((n, n)), y, eye),
+                  (eye, y, -eye), (np.full((n, n), np.inf), y, eye),
+                  (eye, np.full(m, np.nan), eye)]
+        plain = solve(problem)
+        for start in starts:
+            assert same_solution(solve(problem, start=start), plain)
+
+    def test_wrong_shape_raises(self):
+        problem = gram_problem()  # n = m = 4
+        good = (np.eye(4), np.zeros(4), np.eye(4))
+        for k, bad in ((0, np.eye(3)), (1, np.zeros(5)), (2, np.eye(4)[:, :3])):
+            start = list(good)
+            start[k] = bad
+            with pytest.raises(ValueError, match="start must be shaped"):
+                solve(problem, start=start)
 
 
 class TestSolverInvariants:
