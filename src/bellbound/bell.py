@@ -379,9 +379,12 @@ def _unit_starts(
     return alice, bob
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=4)
 def _seeded_starts(restarts: int, seed: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The starts of an integer seed, drawn once and kept read-only."""
+    """The starts of an integer seed, drawn once and kept read-only.  Four
+    draws are kept, so a huge ``restarts`` cannot pin many such arrays: one
+    per table shape of ebi, chsh and chained3 at the default 20 restarts,
+    and the chained draw of :func:`max_violation` at 8."""
     starts = _unit_starts(np.random.default_rng(seed), restarts, k, l)
     for vectors in starts:
         vectors.setflags(write=False)

@@ -224,12 +224,18 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf, start=None) -> SdpSo
     same iterates, bit for bit, whatever ``stop_below``.
 
     ``start`` = (X, y, S), shaped (n, n), (m,) and (n, n) or a ValueError,
-    is tested as iterate 0 against the same stops.  If it stops the solve
-    ``optimal`` or ``bounded`` it is returned with ``iterations`` 0.
-    Otherwise, or if it is not finite or X or S does not factor, it is
-    discarded and the solve runs from its own start, bit for bit as without
-    ``start``.
+    is iterate 0 of the one loop, in place of the default start, and meets
+    the same stops.  If ``optimal`` or ``bounded`` fires there it is
+    returned with ``iterations`` 0.  A refused start (one that fires
+    neither, is not finite, or whose X or S does not factor) yields the
+    cold solve of the same problem and ``stop_below``.
     """
+    return _solve(problem, stop_below, start)
+
+
+def _solve(problem: SdpProblem, stop_below: float, start) -> SdpSolution:
+    """:func:`solve`.  A refused start re-enters here, not through ``solve``,
+    so each call of ``solve`` is one call whatever wraps that name."""
     n = problem.n
     c_int = 0.5 * (problem.c + problem.c.T)
     amat, b = problem.a, problem.b
@@ -256,55 +262,41 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf, start=None) -> SdpSo
                 "certificate": cert,
             }
         )
-        return rd, mu, cert
+        return rd, pobj, dobj, pr, dr, mu, cert
 
-    def own_stop():
-        """The stop the last recorded iterate fires by itself: ``diverged``,
-        ``optimal``, ``bounded`` or none ('')."""
-        last = history[-1]
-        pobj, dobj, pres, dres, mu = (last[k] for k in (
-            "primal_obj", "dual_obj", "primal_residual", "dual_residual", "mu"))
-        if not np.all(np.isfinite([pobj, dobj, mu, pres, dres])) or mu < 0:
-            return "diverged"
-        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if rel_gap <= _GAP_TOL and pres <= _FEAS_TOL and dres <= _FEAS_TOL:
-            return OPTIMAL
-        return BOUNDED if last["certificate"] < stop_below else ""
-
-    if start is not None:
+    if start is None:
+        tau = max(1.0, float(np.linalg.norm(c_int)), float(np.max(np.abs(b))))
+        x = s = tau * np.eye(n)
+        ell_x = ell_s = np.linalg.cholesky(x)
+        y = np.zeros(m)
+    else:
         x, y, s = (np.asarray(v, dtype=float) for v in start)
         if x.shape != (n, n) or s.shape != (n, n) or y.shape != (m,):
             raise ValueError(f"start must be shaped ({n}, {n}), ({m},), ({n}, {n})")
-        reason = ""
-        if all(np.isfinite(v).all() for v in (x, y, s)):
-            try:
-                np.linalg.cholesky(x), np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                record()
-                reason = own_stop()
-        if reason in (OPTIMAL, BOUNDED):
-            return _solution(x, y, s, history, 0, reason)
-        history.clear()
-
-    tau = max(1.0, float(np.linalg.norm(c_int)), float(np.max(np.abs(b))))
-    x = s = tau * np.eye(n)
-    ell_x = ell_s = np.linalg.cholesky(x)
-    y = np.zeros(m)
+        if not all(np.isfinite(v).all() for v in (x, y, s)):
+            return _solve(problem, stop_below, None)
+        try:
+            ell_x, ell_s = np.linalg.cholesky(x), np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return _solve(problem, stop_below, None)
     eye = np.eye(n)
     eye_m = np.eye(m)
     best_cert, best_at, best_iterate = np.inf, 0, (x, y, s)
 
     for iterations in range(_MAX_ITER + 1):
-        rd, mu, cert = record()
-        reason = own_stop()
-        if reason == "diverged":
-            break
-        if cert < best_cert:  # never true of a certificate that is not finite
-            best_cert, best_at, best_iterate = cert, iterations, (x, y, s)
-        reason = reason or ("iteration_cap" if iterations == _MAX_ITER
-                            else "stalled" if iterations - best_at >= _STALL else "")
+        rd, pobj, dobj, pres, dres, mu, cert = record()
+        if not np.all(np.isfinite([pobj, dobj, mu, pres, dres])) or mu < 0:
+            reason = "diverged"
+        else:
+            if cert < best_cert:  # never true of a certificate that is not finite
+                best_cert, best_at, best_iterate = cert, iterations, (x, y, s)
+            rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+            reason = (OPTIMAL if rel_gap <= _GAP_TOL and pres <= _FEAS_TOL and dres <= _FEAS_TOL
+                      else BOUNDED if cert < stop_below
+                      else "iteration_cap" if iterations == _MAX_ITER
+                      else "stalled" if iterations - best_at >= _STALL else "")
+        if start is not None and reason not in (OPTIMAL, BOUNDED):
+            return _solve(problem, stop_below, None)  # refused at iterate 0
         if reason:
             break
 
@@ -369,17 +361,10 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf, start=None) -> SdpSo
         alpha_d, s, ell_s = _step(s, ell_s, ds, alpha_d)
         y = y + alpha_d * dy
 
-    if reason != OPTIMAL and best_iterate[1] is not y:
+    if reason != OPTIMAL and best_at != iterations:
         # One exit for every other stop: the smallest certificate seen.
-        # Only y is rebound at every step, so it names the iterate.
         x, y, s = best_iterate
         record()
-    return _solution(x, y, s, history, iterations, reason)
-
-
-def _solution(x, y, s, history: list, iterations: int, reason: str) -> SdpSolution:
-    """The solution holding iterate (x, y, s), read from its record, the last
-    in ``history``."""
     final = history[-1]
     return SdpSolution(
         x=x,

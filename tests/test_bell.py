@@ -507,6 +507,15 @@ class TestSeesaw:
         with pytest.raises(ValueError):
             starts[0][0, 0] = 0.0
 
+    def test_start_cache_keeps_four_draws(self):
+        # Five distinct draws leave four; a kept key returns the same arrays.
+        for seed in range(901, 906):
+            bell._seeded_starts(2, seed, 3, 4)
+        info = bell._seeded_starts.cache_info()
+        assert info.maxsize == info.currsize == 4
+        first, again = bell._seeded_starts(2, 905, 3, 4), bell._seeded_starts(2, 905, 3, 4)
+        assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
+
     def test_none_seed_draws_fresh_starts(self):
         # At the maximally mixed state every image vanishes, so the result
         # is the first restart's start: two unseeded calls must differ.

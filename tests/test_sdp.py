@@ -320,7 +320,10 @@ class TestStart:
 
     def test_rejected_start_changes_nothing(self, problem):
         # An early iterate stops nothing without its threshold; the others
-        # do not factor or are not finite.
+        # do not factor or are not finite.  Each refused start yields the
+        # cold solve of the same problem and threshold, with no threshold
+        # and with one that no start meets at iterate 0 but the cold solve
+        # meets later.
         optimum = certified_upper_bound(problem, solve(problem))
         early = solve(problem, stop_below=optimum + 0.01 * (1.0 + abs(optimum)))
         n, m = problem.n, problem.b.size
@@ -331,6 +334,26 @@ class TestStart:
         plain = solve(problem)
         for start in starts:
             assert same_solution(solve(problem, start=start), plain)
+        later = 0.5 * (optimum + early.history[-1]["certificate"])
+        cold = solve(problem, stop_below=later)
+        assert cold.reason == BOUNDED and cold.iterations > early.iterations
+        for start in starts:
+            assert same_solution(solve(problem, stop_below=later, start=start), cold)
+
+    def test_refused_start_is_one_call_of_solve(self, problem, monkeypatch):
+        # The hand-over to the cold solve does not re-enter through the
+        # module's ``solve``, which a tracer may wrap: one call, one solve.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", counting)
+        n, m = problem.n, problem.b.size
+        sol = sdp.solve(problem, start=(np.eye(n), np.zeros(m), 2.0 * np.eye(n)))
+        assert len(calls) == 1 and sol.iterations > 0
+        assert same_solution(sol, solve(problem))
 
     def test_wrong_shape_raises(self):
         problem = gram_problem()  # n = m = 4
@@ -587,12 +610,20 @@ class TestFailurePaths:
 
 
 class TestFactorizations:
-    @pytest.mark.parametrize("name", ["gram", "eq"])
+    @pytest.mark.parametrize("name", ["gram", "eq", "accepted_start", "refused_start"])
     def test_no_matrix_factored_twice(self, monkeypatch, name):
+        # An offered start's X and S are factored once, and a refused one's
+        # cold solve factors none of them again.
+        start = None
         if name == "gram":
             problem = gram_problem()
         else:
             problem = ebi_guess_problem(0.9 * npa.tsirelson_bound(bell.ebi(), "2"))
+        if name == "accepted_start":
+            full = solve(problem)
+            start = (full.x, full.y, full.s)
+        elif name == "refused_start":
+            start = (np.eye(problem.n), np.zeros(problem.b.size), 2.0 * np.eye(problem.n))
         seen = collections.Counter()
         cholesky = np.linalg.cholesky
 
@@ -601,9 +632,12 @@ class TestFactorizations:
             return cholesky(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        sol = solve(problem)
+        sol = solve(problem, start=start)
         assert sol.status == OPTIMAL
+        assert (sol.iterations == 0) == (name == "accepted_start")
         assert seen and max(seen.values()) == 1
+        if start is not None:
+            assert all(seen[np.ascontiguousarray(v).tobytes()] == 1 for v in start[::2])
 
 
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
