@@ -363,7 +363,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     rand.add_argument("--out", help="CSV output path (default stdout)")
     rand.add_argument("--compare", choices=list(_EXPRESSIONS))
     rand.add_argument("--seed", type=int, default=0,
-                      help="see-saw seed for families without a closed form")
+                      help="see-saw seed for expressions without a closed form")
     command("gram-demo", "Gram-matrix SDP demonstration")
 
     # After every argument exists: set_defaults only reaches declared ones.

@@ -1,7 +1,6 @@
 """
-Dense linear-algebra kernels shared by the other modules: a Hermitian
-check, and triangular and symmetric positive-definite solves on Cholesky
-factors.
+Dense linear-algebra kernels shared by the other modules: triangular and
+symmetric positive-definite solves on Cholesky factors.
 
 All routines are pure functions of plain numpy arrays (complex128 for
 operator algebra, float64 for correlation matrices) and are safe to share
@@ -23,9 +22,6 @@ import importlib
 import os
 
 import numpy as np
-
-# Central tolerance record.
-EPS_HERM = 1e-12    # max elementwise |M - M^dag| for "Hermitian"
 
 
 def _pin_openblas(module_name: str, symbol: str) -> None:
@@ -57,10 +53,6 @@ def _dtrtrs():
 
     _pin_openblas("scipy.linalg._fblas", "scipy_openblas_set_num_threads")
     return dtrtrs
-
-
-def is_hermitian(m: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= EPS_HERM)
 
 
 def _upper_solve(u: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:

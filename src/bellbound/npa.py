@@ -25,8 +25,9 @@ the table (the invariant-moment reduction of Tavakoli, Rosset & Renou, PRL
 122, 070501 (2019)): for ebi at level 2 that is 167 classes in place of 302,
 with the same optima.  Pairs that merge alike share one operator.
 
-Every value is read from the upper-bounding side through one certificate,
-:func:`~bellbound.sdp.certified_upper_bound`, whatever the solver status.
+Every value is read from the upper-bounding side: the smallest certificate
+tr(C X) + ||b - A vec X||_1 of its solve's iterates, which the solver keeps
+as ``certificate`` (:func:`~bellbound.sdp.solve`), whatever the status.
 A guessing probability follows one rule: the max over the four outcomes of
 the min over a list of multipliers lam of the certified
 max p(ab|xy) + lam (Bell - I).  The list is [0] on the Bell-pinned form,
@@ -62,8 +63,8 @@ import numpy as np
 
 from . import bell as _bell
 from .bell import BellExpression, classical_bound
-from .errors import InfeasibleValue, OutOfRange, UnsupportedLevel
-from .sdp import SdpProblem, certified_upper_bound, solve
+from .errors import InfeasibleValue, OutOfRange, SolverError, UnsupportedLevel
+from .sdp import SdpProblem, solve
 
 LEVELS = ("1", "1+AB", "2")
 
@@ -338,13 +339,12 @@ def _reduced_sdp(ms: MomentStructure, bell=None) -> _ReducedSdp:
     largest Bell weight), leaving  max w.z  s.t.  F0 + sum_i z_i F_i >= 0.
     It is handed to the solver as the dual of  min tr(F0 X)  s.t.
     tr(-F_i X) = w_i,  so the solver's dual side is a moment vector z and
-    the value is read from its primal side, through
-    :func:`~bellbound.sdp.certified_upper_bound`.  Only w, F0 and the
-    constant depend on the objective and the Bell value.  With the Bell
-    value pinned at the relaxation's maximum the feasible set has no
-    interior and that bound is useless; there the caller maximizes h + lam g
-    in the Bell-free form (the Lagrangian form), whose value minus lam I
-    bounds max h.
+    the value is read from its primal side, as the solve's ``certificate``.
+    Only w, F0 and the constant depend on the objective and the Bell value.
+    With the Bell value pinned at the relaxation's maximum the feasible set
+    has no interior and that bound is useless; there the caller maximizes
+    h + lam g in the Bell-free form (the Lagrangian form), whose value minus
+    lam I bounds max h.
 
     Row i of the operator is vec(A_i), A_i = r_i [entry_class == beta] -
     [entry_class == c_i] for the free class c_i, with r_i = g[c_i] / g[beta]
@@ -399,8 +399,9 @@ def _moment_sdp(expr: BellExpression, level: str, input_pair=None) -> _ReducedSd
 
 def _certified_value(problem: SdpProblem, const: float, beat: float = -math.inf,
                      start=None):
-    """``const`` plus the certified upper bound of one solve of ``problem``,
-    and the solution it was read from.
+    """``const`` plus the ``certificate`` of one solve of ``problem``, and
+    the solution it was read from.  Raises SolverError, naming the status,
+    reason and iteration count, if that value is not finite.
 
     The solve stops ``bounded`` once its iterate certifies a value below
     ``beat`` by 1e-6 (1 + |beat - const|), a margin in the problem's own
@@ -409,11 +410,17 @@ def _certified_value(problem: SdpProblem, const: float, beat: float = -math.inf,
     certify within its gap of the optimum, which no certificate undercuts,
     so still less than ``beat``: max(beat, value) is unchanged.  ``start``
     (a mirrored iterate) is tried first; the value is the certificate of
-    whichever iterate the solve returns, so it bounds ``problem`` either
+    an iterate of ``problem``'s own solve, so it bounds ``problem`` either
     way."""
     t = beat - const
     solution = solve(problem, stop_below=t - 1e-6 * (1.0 + abs(t)), start=start)
-    return float(const + certified_upper_bound(problem, solution)), solution
+    value = float(const + solution.certificate)
+    if not math.isfinite(value):
+        raise SolverError(
+            f"no finite bound: solver ended with status {solution.status} "
+            f"({solution.reason}) after {solution.iterations} iterations"
+        )
+    return value, solution
 
 
 _tsirelson_cache: dict = {}

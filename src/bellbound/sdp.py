@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError
 from .linalg import solve_cholesky, solve_lower
 
 OPTIMAL = "optimal"
@@ -130,16 +129,20 @@ class SdpProblem:
 
 @dataclass(eq=False)
 class SdpSolution:
-    """The iterate a solve returns, with its objectives, gap and residuals.
+    """The iterate a solve returns, with its objectives, gap and residuals,
+    and the solve's ``certificate``.
 
     ``dual_obj`` is b.y at the returned dual iterate, and that iterate is
     feasible only to about 1e-9, so ``dual_obj`` is not a certified lower
     bound on the optimum: on one ebi level-1 guessing solve it read
     0.9274234798 against an optimum of 0.9274234517 found by re-solving at
-    1e-11.  The bound this package reports is ``certified_upper_bound``.
-    Every solution but an ``optimal`` one is the iterate with the smallest
-    certificate; a ``bounded`` one is the first whose certificate fell below
-    the solve's ``stop_below``: a valid bound, not a near-optimal one.
+    1e-11.  The bound this package reports is ``certificate``, the smallest
+    finite certificate of the iterates the solve ranked (see :func:`solve`;
+    infinite if there was none).  Every solution but an ``optimal`` one is
+    the iterate it was read from; an ``optimal`` one is the last iterate,
+    whose certificate may be a little larger.  A ``bounded`` solution is the
+    first iterate whose certificate fell below the solve's ``stop_below``: a
+    valid bound, not a near-optimal one.
     """
 
     x: np.ndarray
@@ -152,6 +155,7 @@ class SdpSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
+    certificate: float
     history: list = field(default_factory=list, repr=False)
     reason: str = ""  # optimal, bounded, iteration_cap, stalled, schur_breakdown or diverged
 
@@ -208,8 +212,18 @@ def solve(problem: SdpProblem, stop_below: float = -np.inf, start=None) -> SdpSo
     until an iterate certifies a value below ``stop_below``.
 
     An iterate's certificate, kept in ``history``, is tr(C X) +
-    ||b - A vec X||_1: :func:`certified_upper_bound` with X+ = X, as X
-    factors at every iterate.  ``reason`` names the stop that fired:
+    ||b - A vec X||_1.  X factors at every iterate, so it is PSD, and with
+    b.y = tr(C X) - tr(S X) + y.(b - A vec X) the certificate bounds b.y
+    from above for every dual-feasible y with |y_i| <= 1 (Jansen, Chaykin &
+    Keil, SIAM J. Numer. Anal. 46 (2007)): the optimum, when some optimal y
+    lies in that box.  The Gram problem's (y = -1/2) and every moment
+    vector do.  Elsewhere a certificate can undercut the optimum: on the
+    sixth ``engineered_problem`` of the tests' ``default_rng(66)``, whose
+    optimal y reaches |y_i| = 2.2, iterate 0 certifies -37.7 against an
+    optimum of -17.4.  The ranking below, the stall and ``bounded`` all
+    rely on the box.  The smallest finite certificate of the iterates that
+    did not diverge is the solution's ``certificate``.  ``reason`` names the
+    stop that fired:
     ``optimal`` (every tolerance met), ``bounded`` (the certificate is below
     ``stop_below``), ``iteration_cap`` (200 iterates), ``stalled`` (80
     iterates with no new smallest certificate, above the 71 of the longest
@@ -377,6 +391,7 @@ def _solve(problem: SdpProblem, stop_below: float, start) -> SdpSolution:
         iterations=iterations,
         primal_residual=final["primal_residual"],
         dual_residual=final["dual_residual"],
+        certificate=best_cert,
         history=history,
         reason=reason,
     )
@@ -384,29 +399,9 @@ def _solve(problem: SdpProblem, stop_below: float, start) -> SdpSolution:
 
 def _certificate(objective: float, residual: np.ndarray) -> float:
     """tr(C X) + ||b - A vec X||_1 from tr(C X) and the residual b - A vec X:
-    the one formula behind every certificate, in and after a solve."""
+    the one formula behind every certificate.  Rounding in its evaluation is
+    not accounted for."""
     return float(objective + np.sum(np.abs(residual)))
-
-
-def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
-    """tr(C X+) + ||b - A vec(X+)||_1, X+ the solution's X with its
-    eigenvalues clipped at 0: an upper bound on b.y for every dual-feasible
-    y with |y_i| <= 1, since b.y = tr(C X+) - tr(S X+) + y.(b - A vec(X+))
-    with S PSD (Jansen, Chaykin & Keil, SIAM J. Numer. Anal. 46 (2007)).
-    Every moment vector is such a y.  A poor X gives a loose bound, not a
-    wrong one, so the status is not read; rounding in this evaluation is
-    not accounted for.  Raises SolverError if the bound is not finite."""
-    bound = np.nan
-    if np.all(np.isfinite(solution.x)):
-        w, v = np.linalg.eigh(0.5 * (solution.x + solution.x.T))
-        x_plus = (v * np.clip(w, 0.0, None)) @ v.T
-        bound = _certificate(np.sum(problem.c * x_plus), problem.b - problem.a @ x_plus.ravel())
-    if not np.isfinite(bound):
-        raise SolverError(
-            f"no finite bound: solver ended with status {solution.status} "
-            f"({solution.reason}) after {solution.iterations} iterations"
-        )
-    return bound
 
 
 def gram_problem() -> SdpProblem:

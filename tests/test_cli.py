@@ -387,7 +387,7 @@ class TestRandomness:
 
     def test_max_entropy_line_rounds_down(self, capsys, tmp_path):
         # The entropy is 0.2542168...: nearest rounding would print 0.254217,
-        # more than the CSV and --json figure 0.254216811371.
+        # more than the CSV and --json figure 0.254216811364.
         code, out, _ = run(
             capsys,
             "randomness", "--family", "werner", "--expr", "ebi", "--level", "1",
@@ -395,7 +395,7 @@ class TestRandomness:
         )
         assert code == 0
         assert out.startswith("max entropy      0.254216 bits at param ")
-        assert (tmp_path / "e.csv").read_text().splitlines()[-1].endswith(",0.254216811371")
+        assert (tmp_path / "e.csv").read_text().splitlines()[-1].endswith(",0.254216811364")
 
     def test_json_summary_without_crossover(self, capsys, tmp_path):
         code, out, _ = run(

@@ -22,10 +22,10 @@ from bellbound import (
     tsirelson_bound,
 )
 from bellbound import npa
-from bellbound.errors import InfeasibleValue, OutOfRange, UnsupportedLevel
+from bellbound.errors import InfeasibleValue, OutOfRange, SolverError, UnsupportedLevel
 from bellbound.bell import BellExpression, family_state, max_violation
 from bellbound.npa import curve_csv
-from bellbound.sdp import certified_upper_bound
+from bellbound.sdp import gram_problem
 
 ROOT2 = np.sqrt(2.0)
 ROOT3 = np.sqrt(3.0)
@@ -337,7 +337,7 @@ class TestSettingSymmetry:
     def test_merged_certificates_match_unmerged(self, level):
         # Both forms certify the same optimum.  Each solve stops at a
         # relative gap and residuals of 1e-8 and its certificate adds the
-        # clipped residual, so the two may differ by a few 1e-8; the
+        # residual's 1-norm, so the two may differ by a few 1e-8; the
         # solver's own primal-dual gap does not bound this (its dual
         # iterate is feasible only to about 1e-9).
         expr = ebi()
@@ -355,7 +355,7 @@ class TestSettingSymmetry:
                         for sdp in (merged, unmerged):
                             prob = npa._prob_functional(sdp.structure, expr, *pair, a, b)
                             problem, const = sdp.at(prob, value)
-                            bounds.append(const + certified_upper_bound(problem, solve(problem)))
+                            bounds.append(const + solve(problem).certificate)
                         assert abs(bounds[0] - bounds[1]) <= 1e-7
 
 
@@ -572,6 +572,22 @@ class TestGuessingProbability:
         max_guessing_probability(expr, value, (0, 0), "2")
         assert [started for started, _ in solves] == [False, True, False, True]
         assert all(solves[k][1] == 0 for k in mirrored)
+
+    def test_endpoint_reads_the_smallest_certificate(self):
+        # At chained3's level-1 endpoint the optimal Lagrangian solves
+        # certify less on an earlier iterate than on their last: read from
+        # the last iterates the guess would be 0.9495406, from the smallest
+        # certificates it is 0.9495001.
+        qmax = tsirelson_bound(chained(3), "1")
+        assert max_guessing_probability(chained(3), qmax, (0, 0), "1") <= 0.94951
+
+    def test_non_finite_certificate_raises(self, monkeypatch):
+        # The error names the status, the reason and the iteration count.
+        stalled = SimpleNamespace(certificate=math.inf, status="max_iterations",
+                                  reason="stalled", iterations=91)
+        monkeypatch.setattr(npa, "solve", lambda problem, **kwargs: stalled)
+        with pytest.raises(SolverError, match=r"max_iterations \(stalled\) after 91 iter"):
+            npa._certified_value(gram_problem(), 0.0)
 
     def test_all_input_pairs_agree_at_maximum(self):
         # The maximal-violation behavior is setting-symmetric.

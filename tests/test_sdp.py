@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from bellbound import (
     SdpProblem,
-    SdpSolution,
     bell,
     dual_certificate_check,
     gram_problem,
@@ -16,7 +15,6 @@ from bellbound import (
     sdp,
     solve,
 )
-from bellbound.errors import SolverError
 from bellbound.sdp import (
     BOUNDED,
     MAX_ITERATIONS,
@@ -24,7 +22,6 @@ from bellbound.sdp import (
     OPTIMAL,
     _max_step,
     _schur_complement,
-    certified_upper_bound,
 )
 
 
@@ -202,50 +199,95 @@ class TestGramProblem:
         assert feasible and abs(min_eig - 0.5) < 1e-12
 
 
-class TestCertifiedUpperBound:
-    """The Gram problem's optimum -2 is attained at y = -1/2, inside the
-    box |y_i| <= 1, so every certificate must stay at or above -2."""
+def clipped_certificate(problem: SdpProblem, x: np.ndarray) -> float:
+    """Reference: tr(C X+) + ||b - A vec(X+)||_1, X+ the PSD part of X by
+    eigh, its negative eigenvalues clipped at 0."""
+    w, v = np.linalg.eigh(0.5 * (x + x.T))
+    x_plus = (v * np.clip(w, 0.0, None)) @ v.T
+    residual = problem.b - problem.a @ x_plus.ravel()
+    return float(np.sum(problem.c * x_plus) + np.sum(np.abs(residual)))
 
-    @staticmethod
-    def handed(x, y):
-        """A solution record holding x and y, with the objectives they give."""
+
+def npa_solves(call) -> list:
+    """(problem, solution) of each solve that ``call()`` makes through npa."""
+    solves = []
+
+    def logged(problem, **kwargs):
+        solves.append((problem, solve(problem, **kwargs)))
+        return solves[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npa, "solve", logged)
+        call()
+    return solves
+
+
+def chained3_endpoint_problem() -> SdpProblem:
+    """The Lagrangian problem of p(00|00) + 2e3 Bell for chained3 at level 1."""
+    expr = bell.chained(3)
+    moment_sdp = npa._moment_sdp(expr, "1")
+    g, g_const = npa._bell_functional(moment_sdp.structure, expr)
+    h, h_const = npa._prob_functional(moment_sdp.structure, expr, 0, 0, 0, 0)
+    return moment_sdp.at((h + 2e3 * g, h_const + 2e3 * g_const))[0]
+
+
+@pytest.fixture(scope="module", params=["gram", "ebi_interior", "chained3_endpoint",
+                                        "bounded", "mirror_start", "chsh_stall"])
+def certified(request):
+    """(problem, solution) of one solve, and the reason it stopped for."""
+    name = request.param
+    if name in ("gram", "bounded"):
         problem = gram_problem()
-        return SdpSolution(
-            x=x, y=y, s=np.zeros((4, 4)), primal_obj=float(np.sum(problem.c * x)),
-            dual_obj=float(problem.b @ y), gap=0.0, status=MAX_ITERATIONS,
-            iterations=0, primal_residual=0.0, dual_residual=0.0,
-        )
+        sol = solve(problem, stop_below=-1.5 if name == "bounded" else -np.inf)
+        return problem, sol, BOUNDED if name == "bounded" else OPTIMAL
+    if name == "ebi_interior":
+        problem = ebi_guess_problem(0.9 * npa.tsirelson_bound(bell.ebi(), "2"))
+        return problem, solve(problem), OPTIMAL
+    if name == "chained3_endpoint":
+        problem = chained3_endpoint_problem()
+        return problem, solve(problem), OPTIMAL
+    if name == "mirror_start":
+        # Outcome (1, 1) keeps the image of (0, 0)'s iterate at iterate 0.
+        value = bell.max_violation(bell.family_state("werner-p", 0.95), bell.ebi())
+        npa.tsirelson_bound(bell.ebi(), "2")
+        problem, sol = npa_solves(
+            lambda: npa.max_guessing_probability(bell.ebi(), value, (0, 0), "2"))[1]
+        assert sol.iterations == 0
+        return problem, sol, OPTIMAL
+    npa.tsirelson_bound(bell.chsh(), "2")
+    solves = npa_solves(
+        lambda: npa.max_guessing_probability(bell.chsh(), 2.0010270399220813, (0, 0), "2"))
+    return next((p, s) for p, s in solves if s.reason == "stalled") + ("stalled",)
 
-    def test_bound_at_the_solution(self):
-        problem = gram_problem()
-        bound = certified_upper_bound(problem, solve(problem))
-        assert -2.0 <= bound <= -2.0 + 1e-7
 
-    def test_perturbed_iterates_stay_above_the_optimum(self):
-        problem = gram_problem()
-        x_opt = solve(problem).x
-        rng = np.random.default_rng(17)
-        below = outside = 0
-        for scale in (1e-6, 1e-3, 0.1, 1.0):
-            for _ in range(25):
-                noise = rng.normal(size=(4, 4)) * scale
-                # Lowering the off-diagonal pushes tr(C X) below -2 and
-                # takes X out of the cone; the noise breaks the constraints.
-                shift = rng.uniform(0.0, scale)
-                x = x_opt - shift * (np.ones((4, 4)) - np.eye(4)) + (noise + noise.T) / 2
-                y = -0.5 - rng.uniform(0.0, scale, size=4)
-                sol = self.handed(x, y)
-                assert certified_upper_bound(problem, sol) >= -2.0
-                below += sol.primal_obj < -2.0 and sol.dual_obj < -2.0
-                outside += np.linalg.eigvalsh(x)[0] < 0.0
-        # Either objective read as the value would have failed above.
-        assert below >= 50 and outside >= 50
+class TestCertificate:
+    """A solution's ``certificate`` is the smallest finite one in its
+    history.  Each is read off an X that factors, so it is PSD, and
+    clipping its eigenvalues at 0 first changes the value only by
+    rounding."""
 
-    def test_non_finite_iterate_raises(self):
-        sol = self.handed(np.full((4, 4), np.nan), np.zeros(4))
-        sol.reason = "stalled"
-        with pytest.raises(SolverError, match=r"max_iterations \(stalled\) after 0 iter"):
-            certified_upper_bound(gram_problem(), sol)
+    def test_returned_x_factors(self, certified):
+        _, sol, reason = certified
+        assert sol.reason == reason
+        np.linalg.cholesky(sol.x)
+
+    def test_certificate_is_the_smallest_recorded(self, certified):
+        _, sol, _ = certified
+        finite = [r["certificate"] for r in sol.history if np.isfinite(r["certificate"])]
+        assert sol.certificate == min(finite)
+
+    def test_returned_record_matches_the_clipped_reference(self, certified):
+        problem, sol, _ = certified
+        # The returned iterate is the one recorded last.
+        value = sol.history[-1]["certificate"]
+        assert abs(clipped_certificate(problem, sol.x) - value) <= 1e-12 * (1.0 + abs(value))
+
+    def test_gram_certificate_bounds_the_optimum(self):
+        # The Gram problem's optimum -2 is attained at y = -1/2, inside the
+        # box |y_i| <= 1, so no certificate of its solve falls below -2.
+        sol = solve(gram_problem())
+        assert -2.0 <= sol.certificate <= -2.0 + 1e-7
+        assert all(r["certificate"] >= -2.0 for r in sol.history)
 
 
 @pytest.fixture(scope="module", params=["gram", "ebi_eq"])
@@ -262,7 +304,7 @@ class TestBoundedStop:
 
     def test_threshold_above_the_optimum_stops_bounded(self, problem):
         full = solve(problem)
-        optimum = certified_upper_bound(problem, full)
+        optimum = full.certificate
         threshold = optimum + 0.01 * (1.0 + abs(optimum))
         sol = solve(problem, stop_below=threshold)
         assert sol.status == sol.reason == BOUNDED
@@ -271,15 +313,12 @@ class TestBoundedStop:
         assert len(sol.history) == sol.iterations + 1
         c_sym = 0.5 * (problem.c + problem.c.T)
         assert float(np.sum(c_sym * sol.x)) == sol.history[-1]["primal_obj"]
-        in_loop = sol.history[-1]["certificate"]
-        bound = certified_upper_bound(problem, sol)
-        assert bound < threshold and in_loop < threshold
-        assert abs(bound - in_loop) <= 1e-12 * (1.0 + abs(in_loop))
-        assert bound >= optimum - 1e-7 * (1.0 + abs(optimum))
+        assert sol.certificate == sol.history[-1]["certificate"] < threshold
+        assert sol.certificate >= optimum - 1e-7 * (1.0 + abs(optimum))
 
     def test_threshold_below_the_optimum_changes_nothing(self, problem):
         full = solve(problem)
-        optimum = certified_upper_bound(problem, full)
+        optimum = full.certificate
         sol = solve(problem, stop_below=optimum - 1e-6 * (1.0 + abs(optimum)))
         assert (sol.status, sol.reason, sol.iterations) == (
             full.status, full.reason, full.iterations)
@@ -309,7 +348,7 @@ class TestStart:
         assert sol.history == [full.history[-1]]
 
     def test_bounded_start_returns_at_iterate_0(self, problem):
-        optimum = certified_upper_bound(problem, solve(problem))
+        optimum = solve(problem).certificate
         threshold = optimum + 0.01 * (1.0 + abs(optimum))
         early = solve(problem, stop_below=threshold)
         assert early.reason == BOUNDED and early.iterations > 0
@@ -324,7 +363,7 @@ class TestStart:
         # cold solve of the same problem and threshold, with no threshold
         # and with one that no start meets at iterate 0 but the cold solve
         # meets later.
-        optimum = certified_upper_bound(problem, solve(problem))
+        optimum = solve(problem).certificate
         early = solve(problem, stop_below=optimum + 0.01 * (1.0 + abs(optimum)))
         n, m = problem.n, problem.b.size
         eye, y = np.eye(n), np.zeros(m)
@@ -480,7 +519,7 @@ class TestFailurePaths:
 
         monkeypatch.setattr(npa, "solve", logged)
         value = npa.max_guessing_probability(bell.chsh(), 2.0010270399220813, (0, 0), "2")
-        assert value == 0.9997427610799103
+        assert value == 0.9997427610799126
         assert len(solutions) == 4
         assert [(s.reason, s.iterations) for s in solutions if s.reason != OPTIMAL] == [
             ("stalled", 94), ("bounded", 8), ("bounded", 8)
@@ -513,18 +552,20 @@ class TestFailurePaths:
 
     def test_stall_spares_a_slow_optimal_solve(self):
         # Just inside the endpoint window (chained3, level 2, pair (0,0),
-        # I = q - 1.01e-6), outcome (1,0)'s solve goes up to 71 iterates
-        # without a smaller certificate, fewer than the stall's 80, and
-        # reaches optimal at iterate 174.  A stall counted on the most
+        # I = 5.196151429834855, q - 1.01e-6 for q = 5.196152439834855),
+        # outcome (1,0)'s solve goes up to 71 iterates without a smaller
+        # certificate, fewer than the stall's 80, and reaches optimal at
+        # iterate 174.  Its smallest certificate, 0.033700691909, is below
+        # its last iterate's 0.033700912445.  A stall counted on the most
         # balanced iterate cut it at 117, 2.06e-6 looser (0.033702969524).
         expr = bell.chained(3)
         moment_sdp = npa._moment_sdp(expr, "2", (0, 0))
         problem, const = moment_sdp.at(
-            npa._prob_functional(moment_sdp.structure, expr, 0, 0, 1, 0),
-            npa.tsirelson_bound(expr, "2") - 1.01e-6)
+            npa._prob_functional(moment_sdp.structure, expr, 0, 0, 1, 0), 5.196151429834855)
         sol = solve(problem)
         assert (sol.status, sol.reason, sol.iterations) == (OPTIMAL, OPTIMAL, 174)
-        assert const + certified_upper_bound(problem, sol) == pytest.approx(
+        assert const + sol.certificate == pytest.approx(0.033700691909, abs=1e-12)
+        assert const + sol.history[-1]["certificate"] == pytest.approx(
             0.033700912445, abs=1e-12)
 
     def test_schur_breakdown_is_named(self, monkeypatch):
