@@ -6,7 +6,9 @@ measurement synthesis + saturation report), classical (deterministic
 bound by enumeration), tsirelson (relaxation bound at a level),
 randomness (min-entropy curve over a state family, CSV output, with a
 summary printed as lines or, with --json, one object), and
-gram-demo (the 4x4 Gram-matrix SDP with its dual certificate).
+gram-demo (the 4x4 Gram-matrix SDP with its dual certificate).  Each
+subparser holds its handler as its ``run`` default, so argparse is the one
+place that maps a subcommand to behaviour.
 
 Numbers print with 6 decimals in human mode and 12 significant digits in
 CSV/JSON, all through ``npa.round_toward``: the tight and Tsirelson bounds
@@ -47,7 +49,9 @@ _EXPRESSIONS = {
     "chsh": lambda n: bell.chsh(),
     "chained": bell.chained,
 }
-_FAMILIES = {"pure": "pure-theta", "werner": "werner-p"}
+# CLI family -> (library family, its parameter flag).
+_FAMILIES = {"pure": ("pure-theta", "theta"), "werner": ("werner-p", "p")}
+_STATES = {"singlet": states.singlet}
 
 
 def _jnum(value: float) -> float:
@@ -83,15 +87,12 @@ def _resolve_state(args: argparse.Namespace) -> states.TwoQubitState:
     if args.state is None:
         raise BellboundError(f"{args.command} requires --state or --state-file")
     if args.state in _FAMILIES:
-        flag = "theta" if args.state == "pure" else "p"
+        family, flag = _FAMILIES[args.state]
         value = getattr(args, flag)
         if value is None:
             raise BellboundError(f"--state {args.state} requires --{flag}")
-        family = _FAMILIES[args.state]
         return bell.family_state(family, _clamp(value, *bell.family_domain(family)))
-    if args.state == "singlet":
-        return states.singlet()
-    raise BellboundError(f"unknown state {args.state!r}")
+    return _lookup(_STATES, "state", args.state, "--state")()
 
 
 def _resolve_expr(name: str | None, n: int) -> bell.BellExpression:
@@ -234,7 +235,7 @@ def _curve(args: argparse.Namespace, family: str, expr: bell.BellExpression, par
 def cmd_randomness(args: argparse.Namespace) -> int:
     if args.grid is None:
         raise BellboundError("randomness requires --grid start:stop:steps")
-    family = _lookup(_FAMILIES, "family", args.family, "--family")
+    family, _ = _lookup(_FAMILIES, "family", args.family, "--family")
     expr = _resolve_expr(args.expr, args.n)
     start, stop, steps = args.grid
     lo, hi = bell.family_domain(family)
@@ -321,10 +322,12 @@ def _read_config(path: str) -> dict:
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The ``bellbound`` parser; ``defaults`` (from ``--config``) replace
-    the built-in defaults of every subcommand.  A key that no subcommand
-    declares is an error; one declared by another subcommand is ignored,
-    so one config file can serve several commands."""
+    """The ``bellbound`` parser; each subparser's ``run`` default is its
+    ``cmd_*`` handler, which :func:`main` calls.  ``defaults`` (from
+    ``--config``) replace the built-in defaults of every subcommand.  A key
+    that no subcommand declares as an option (``run`` included) is an
+    error; one declared by another subcommand is ignored, so one config
+    file can serve several commands."""
     parser = argparse.ArgumentParser(
         prog="bellbound",
         description="Bell-violation bounds and device-independent randomness",
@@ -336,7 +339,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true")
 
     state = argparse.ArgumentParser(add_help=False)
-    state.add_argument("--state", choices=["pure", "werner", "singlet"])
+    state.add_argument("--state", choices=[*_FAMILIES, *_STATES])
     state.add_argument("--state-file", help="JSON file with a 4x4 [re, im] density matrix")
     state.add_argument("--theta", type=float)
     state.add_argument("--p", type=float)
@@ -348,14 +351,17 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     level = argparse.ArgumentParser(add_help=False)
     level.add_argument("--level", choices=npa.LEVELS, default="2")
 
-    def command(name, summary, *parents):
-        return sub.add_parser(name, help=summary, parents=[*parents, common])
+    def command(name, run, summary, *parents):
+        subparser = sub.add_parser(name, help=summary, parents=[*parents, common])
+        subparser.set_defaults(run=run)
+        return subparser
 
-    command("bound", "tight violation bound of a state", state)
-    command("measure", "optimal measurements + tightness", state)
-    command("classical", "deterministic bound", expr)
-    command("tsirelson", "relaxation bound", expr, level)
-    rand = command("randomness", "min-entropy curve over a family", expr, level)
+    command("bound", cmd_bound, "tight violation bound of a state", state)
+    command("measure", cmd_measure, "optimal measurements + tightness", state)
+    command("classical", cmd_classical, "deterministic bound", expr)
+    command("tsirelson", cmd_tsirelson, "relaxation bound", expr, level)
+    rand = command("randomness", cmd_randomness, "min-entropy curve over a family",
+                   expr, level)
     rand.add_argument("--family", choices=list(_FAMILIES))
     rand.add_argument("--pair", type=_parse_pair, default="0,0",
                       help="input pair x,y (0-based), default 0,0")
@@ -364,7 +370,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     rand.add_argument("--compare", choices=list(_EXPRESSIONS))
     rand.add_argument("--seed", type=int, default=0,
                       help="see-saw seed for expressions without a closed form")
-    command("gram-demo", "Gram-matrix SDP demonstration")
+    command("gram-demo", cmd_gram_demo, "Gram-matrix SDP demonstration")
 
     # After every argument exists: set_defaults only reaches declared ones.
     defaults = defaults or {}
@@ -377,22 +383,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "bound": cmd_bound,
-    "measure": cmd_measure,
-    "classical": cmd_classical,
-    "tsirelson": cmd_tsirelson,
-    "randomness": cmd_randomness,
-    "gram-demo": cmd_gram_demo,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config:
             args = build_parser(_read_config(args.config)).parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -417,11 +417,13 @@ def gram_problem() -> SdpProblem:
 
 
 def dual_certificate_check(v: np.ndarray) -> tuple[float, bool]:
-    """Feasibility of a dual vector: min eigenvalue of W/2 - diag(v)."""
+    """Feasibility of a dual vector of :func:`gram_problem`: min eigenvalue
+    of C - sum_i v_i A_i, read off the problem's own ``c`` and ``a``."""
+    problem = gram_problem()
     v = np.asarray(v, dtype=float)
-    w = np.ones((4, 4)) - np.eye(4)
+    slack = problem.c - (problem.a.T @ v).reshape(problem.n, problem.n)
     # eigh, not eigvalsh: the two LAPACK paths differ in the last bits,
     # and this eigenvalue (about 1e-9) is printed to 12 digits.
-    vals = np.linalg.eigh(0.5 * w - np.diag(v))[0]
+    vals = np.linalg.eigh(slack)[0]
     min_eig = float(vals[0])
     return min_eig, min_eig >= -1e-9

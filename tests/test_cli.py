@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -17,6 +18,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def package_env():
+    """The environment of a subprocess that imports this checkout's package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(bellbound.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return env
 
 
 def singlet_with_entry(entry):
@@ -171,10 +180,7 @@ print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
 
 class TestScipyLoading:
     def test_only_sdp_commands_load_scipy(self):
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(bellbound.__file__))
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=package_env(),
                               capture_output=True, text=True, timeout=120, check=True)
         report = json.loads(proc.stdout)
         assert report["codes"] == [0, 0, 0, 0]
@@ -202,6 +208,13 @@ class TestGramDemo:
         code, out, err = run(capsys, "gram-demo")
         assert code == cli.EXIT_NUMERICAL and out == ""
         assert err == "solver status: max_iterations (iteration_cap) after 3 iterations\n"
+
+    def test_failed_certificate_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(sdp, "dual_certificate_check", lambda v: (-1.0, False))
+        code, out, err = run(capsys, "gram-demo")
+        assert code == cli.EXIT_NUMERICAL
+        assert "certificate eig  -1.000000e+00 (feasible=False)" in out
+        assert err == "gram demo failed its -2 check\n"
 
 
 class TestRandomness:
@@ -239,11 +252,14 @@ class TestRandomness:
             "--grid", "0.9:1:3", "--out", str(out_file),
         )
         assert code == 0
-        # 12 significant digits cap the representable identity error at
-        # half an ulp of the entropy column (~5e-12 for entropies above 1).
+        # The entropy column is -log2 of the printed probability rounded
+        # down at 12 significant digits, so it sits below -log2(p) by less
+        # than one unit of its 12th digit; one ulp absorbs the subtraction.
         for line in out_file.read_text().strip().split("\n")[1:]:
-            fields = [float(v) for v in line.split(",")]
-            assert abs(fields[3] + np.log2(fields[2])) <= 6e-12
+            probability, entropy = (float(v) for v in line.split(",")[2:])
+            exact = 0.0 - math.log2(probability)
+            unit = 10.0 ** (math.floor(math.log10(entropy)) - 11)
+            assert 0.0 <= exact - entropy <= unit + np.spacing(exact)
 
     def test_first_failure_stops_the_sweep(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -495,6 +511,24 @@ class TestConfigFile:
         code, out, err = run(capsys, "--config", str(config), "bound", "--state", "singlet")
         assert code == 2 and out == ""
         assert "configuration error: unknown option(s) in config: jsn, sede" in err
+        # Each subparser's handler is its `run` default, not an option.
+        config.write_text(json.dumps({"run": "cmd_gram_demo"}))
+        code, out, err = run(capsys, "--config", str(config), "bound", "--state", "singlet")
+        assert code == 2 and out == ""
+        assert err == "configuration error: unknown option(s) in config: run\n"
+
+    # argparse checks `choices` only on flags, not on defaults from a config.
+    @pytest.mark.parametrize("key,kind,argv", [
+        ("expr", "expression", ["classical"]),
+        ("family", "family", ["randomness", "--expr", "chsh", "--grid", "0:1:3"]),
+        ("state", "state", ["bound"]),
+    ], ids=["expression", "family", "state"])
+    def test_unknown_config_name_exits_2(self, capsys, tmp_path, key, kind, argv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: "bogus"}))
+        code, out, err = run(capsys, "--config", str(config), *argv)
+        assert code == 2 and out == ""
+        assert err == f"configuration error: unknown {kind} 'bogus'\n"
 
     def test_keys_of_other_subcommands_are_kept(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -528,6 +562,22 @@ class TestReadme:
         for words in commands:
             assert words[0] == "bellbound"
             parser.parse_args(words[1:])
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("command", ["bound", "measure", "classical", "tsirelson",
+                                         "randomness", "gram-demo"])
+    def test_each_subparser_holds_its_handler(self, command):
+        handler = getattr(cli, "cmd_" + command.replace("-", "_"))
+        assert cli.build_parser().parse_args([command]).run is handler
+
+    def test_module_runs_as_a_script(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellbound.cli", "classical", "--expr", "chsh"],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "classical bound  2.000000\n"
 
 
 class TestArgumentErrors:
